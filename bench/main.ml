@@ -27,7 +27,6 @@ let experiments ~smoke =
     ("seeding", fun () -> Experiments.seeding ());
     ("rarity", fun () -> Experiments.rarity ~smoke ());
     ("perf", fun () -> Experiments.perf ());
-    ("wire", fun () -> Experiments.wire ~smoke ());
     ("micro", fun () -> Micro.run ());
   ]
 

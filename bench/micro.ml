@@ -104,7 +104,7 @@ let feedback_weight_test () =
   Test.make ~name:"feedback weight query (200 distinct)"
     (Staged.stage (fun () -> ignore (Afex_quality.Feedback.weight fb probe)))
 
-(* --- wire codec hot paths: one steady-state run_report, v1 vs v2 --- *)
+(* --- run_report codec hot paths: journal text record vs v2 wire --- *)
 
 module Message = Afex_cluster.Message
 
@@ -129,14 +129,14 @@ let wire_report () =
     duration_ms = 12.5;
   }
 
-let wire_encode_v1_test () =
+let journal_encode_test () =
   let r = Message.Scenario_result (wire_report ()) in
-  Test.make ~name:"run_report encode v1 (text)"
+  Test.make ~name:"run_report encode (journal text codec)"
     (Staged.stage (fun () -> ignore (Message.encode_from_manager r)))
 
-let wire_decode_v1_test () =
+let journal_decode_test () =
   let line = Message.encode_from_manager (Message.Scenario_result (wire_report ())) in
-  Test.make ~name:"run_report decode v1 (text)"
+  Test.make ~name:"run_report decode (journal text codec)"
     (Staged.stage (fun () -> ignore (Message.decode_from_manager line)))
 
 let wire_encode_v2_test () =
@@ -202,8 +202,8 @@ let tests () =
       index_observe_test ();
       feedback_weight_test ();
       parse_test ();
-      wire_encode_v1_test ();
-      wire_decode_v1_test ();
+      journal_encode_test ();
+      journal_decode_test ();
       wire_encode_v2_test ();
       wire_decode_v2_test ();
       varint_roundtrip_test ();

@@ -121,7 +121,7 @@ let parse_replsim_exn name =
 (* A --manager argument is HOST:PORT; the straggler timeout keeps a dead
    manager from stalling the campaign (its scenarios are requeued on a
    local worker after the retry budget runs out). *)
-let parse_manager ~wire ~flush_bytes s =
+let parse_manager s =
   let fail () =
     Error (Printf.sprintf "afex: --manager %S: expected HOST:PORT" s)
   in
@@ -133,8 +133,8 @@ let parse_manager ~wire ~flush_bytes s =
       match int_of_string_opt port with
       | Some p when p > 0 && p < 65536 && host <> "" ->
           Ok
-            (Afex_cluster.Remote_manager.tcp_spec ~recv_timeout_ms:10_000 ~wire
-               ~flush_bytes ~host ~port:p ())
+            (Afex_cluster.Remote_manager.tcp_spec ~recv_timeout_ms:10_000
+               ~host ~port:p ())
       | Some _ | None -> fail ())
 
 (* --- common arguments --- *)
@@ -197,14 +197,7 @@ let describe_cmd =
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
   let run target profile =
-    (* On stderr, like the rarity hint: stdout stays pipeable. *)
-    let wire_hint () =
-      Format.eprintf
-        "wire: negotiates protocol v1-v%d (v2 = coalesced binary frames with \
-         per-connection stack interning; pin with `explore --wire` / `serve \
-         --wire`)@."
-        Afex_cluster.Message.protocol_version_max
-    in
+    let cutoff = Afex.Config.default_rarity.Afex.Config.cutoff in
     match parse_replsim_exn target with
     | Some cluster ->
         if profile then begin
@@ -222,10 +215,9 @@ let describe_cmd =
         Format.printf
           "rarity: %d coverage blocks (%d per replica); recovery/election \
            blocks are hit only under correlated faults, so `explore --rarity \
-           --mask` with the default cutoff 0.05 targets them@."
+           --mask` with the default cutoff %g targets them@."
           (Replsim.total_blocks cluster)
-          Replsim.blocks_per_replica;
-        wire_hint ()
+          Replsim.blocks_per_replica cutoff
     | None -> (
     match lookup_target target with
     | Error e ->
@@ -241,15 +233,15 @@ let describe_cmd =
             Format.eprintf
               "rarity: %d blocks, %d recovery-only (%.1f%%). A block is \
                rare while hit on fewer than --rarity-cutoff of tests; the \
-               default 0.05 keeps anything reached less than once per 20 \
+               default %g keeps anything reached less than once per %g \
                tests on the rewarded frontier (tuning recipe: ADAPTING.md).@."
               total recovery
               (100.0 *. float_of_int recovery /. float_of_int total)
+              cutoff (1.0 /. cutoff)
         in
         if profile then begin
           print_string (Afex_simtarget.Tracer.describe_string t);
-          rarity_hint ();
-          wire_hint ()
+          rarity_hint ()
         end
         else begin
           let funcs =
@@ -261,8 +253,7 @@ let describe_cmd =
             Afex_faultspace.Axis.cardinality (Afex_faultspace.Subspace.axis sub 2)
           in
           print_string (Afex_simtarget.Tracer.standard_description t ~funcs ~max_call);
-          rarity_hint ();
-          wire_hint ()
+          rarity_hint ()
         end)
   in
   Cmd.v
@@ -371,25 +362,6 @@ let explore_cmd =
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let wire_arg =
-    let doc =
-      "Wire protocol version to offer remote managers: 2 (default) packs \
-       several varint-encoded requests into each frame with per-connection \
-       stack interning and scenario delta-encoding; 1 is the line-oriented \
-       text protocol. A manager that rejects the offer is redialed at v1 \
-       (counted as a wire downgrade)."
-    in
-    Arg.(value & opt int 2 & info [ "wire" ] ~docv:"V" ~doc)
-  in
-  let flush_bytes_arg =
-    let doc =
-      "Wire v2 coalescing threshold: buffered request records flush as one \
-       frame once the payload reaches $(docv) bytes (sooner when in-flight \
-       credit runs out or the event loop is about to wait). Tune upward on \
-       slow links (see ADAPTING.md)."
-    in
-    Arg.(value & opt int 8192 & info [ "flush-bytes" ] ~docv:"BYTES" ~doc)
-  in
   let manager_arg =
     let doc =
       "Also dispatch tests to the remote node manager at $(docv) (repeatable; \
@@ -479,7 +451,7 @@ let explore_cmd =
   in
   let run target strategy iterations seed feedback rarity rarity_weight
       rarity_cutoff mask top replay_out multi seed_analysis
-      csv_out json_out assess jobs batch wire flush_bytes managers inflight
+      csv_out json_out assess jobs batch managers inflight
       latency adaptive window_min window_max trace_out replay_trace
       checkpoint_dir checkpoint_every resume_dir verbosity =
     setup_logging verbosity;
@@ -499,19 +471,10 @@ let explore_cmd =
       prerr_endline "afex: --rarity-cutoff must be strictly between 0 and 1";
       exit 2
     end;
-    if wire < 1 || wire > Afex_cluster.Message.protocol_version_max then begin
-      Printf.eprintf "afex: --wire must be between 1 and %d\n%!"
-        Afex_cluster.Message.protocol_version_max;
-      exit 2
-    end;
-    if flush_bytes < 1 then begin
-      prerr_endline "afex: --flush-bytes must be at least 1";
-      exit 2
-    end;
     let specs =
       List.map
         (fun m ->
-          match parse_manager ~wire ~flush_bytes m with
+          match parse_manager m with
           | Ok spec -> spec
           | Error e ->
               prerr_endline e;
@@ -836,12 +799,8 @@ let explore_cmd =
                     /. s.Afex_cluster.Pool.wall_ms);
             if remote_stats <> [] then begin
               Format.printf
-                "remote: %d runs over the wire, %d local fallbacks%s@."
-                s.Afex_cluster.Pool.remote_runs s.Afex_cluster.Pool.remote_fallbacks
-                (if s.Afex_cluster.Pool.wire_downgrades > 0 then
-                   Printf.sprintf ", %d wire downgrades"
-                     s.Afex_cluster.Pool.wire_downgrades
-                 else "");
+                "remote: %d runs over the wire, %d local fallbacks@."
+                s.Afex_cluster.Pool.remote_runs s.Afex_cluster.Pool.remote_fallbacks;
               List.iter
                 (fun (name, (r : Afex_cluster.Remote_manager.stats)) ->
                   Format.printf
@@ -851,10 +810,8 @@ let explore_cmd =
                     r.Afex_cluster.Remote_manager.dials
                     r.Afex_cluster.Remote_manager.manager_errors;
                   Format.printf
-                    "    wire v%d (%d downgrades), %d frames out / %d in, %d \
-                     bytes out / %d in, dict %d@."
-                    r.Afex_cluster.Remote_manager.wire
-                    r.Afex_cluster.Remote_manager.wire_downgrades
+                    "    wire: %d frames out / %d in, %d bytes out / %d in, dict \
+                     %d@."
                     r.Afex_cluster.Remote_manager.frames_out
                     r.Afex_cluster.Remote_manager.frames_in
                     r.Afex_cluster.Remote_manager.bytes_out
@@ -926,8 +883,7 @@ let explore_cmd =
       const run $ target_arg $ strategy_arg $ iterations_arg $ seed_arg $ feedback_arg
       $ rarity_arg $ rarity_weight_arg $ rarity_cutoff_arg $ mask_arg
       $ top_arg $ replay_arg $ multi_arg $ seed_analysis_arg $ csv_arg $ json_arg
-      $ assess_arg $ jobs_arg $ batch_arg $ wire_arg $ flush_bytes_arg
-      $ manager_arg $ inflight_arg $ latency_arg
+      $ assess_arg $ jobs_arg $ batch_arg $ manager_arg $ inflight_arg $ latency_arg
       $ adaptive_arg $ window_min_arg $ window_max_arg $ trace_arg $ replay_trace_arg
       $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ verbose_arg)
 
@@ -972,14 +928,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some float) None & info [ "rarity-cutoff" ] ~docv:"FRAC" ~doc)
   in
-  let wire_arg =
-    let doc =
-      "Newest wire protocol version to negotiate (1 makes this server \
-       behave exactly like a pre-v2 manager: v2 clients downgrade to the \
-       text protocol)."
-    in
-    Arg.(value & opt int 2 & info [ "wire" ] ~docv:"V" ~doc)
-  in
   let chaos_arg =
     let doc =
       "Mangle reply frames with probability $(docv) per corruption kind \
@@ -993,8 +941,8 @@ let serve_cmd =
     let doc = "Seed for the per-connection chaos RNG streams." in
     Arg.(value & opt int 0 & info [ "chaos-seed" ] ~docv:"N" ~doc)
   in
-  let run target host port once multi latency rarity_cutoff wire chaos
-      chaos_seed verbosity =
+  let run target host port once multi latency rarity_cutoff chaos chaos_seed
+      verbosity =
     setup_logging verbosity;
     let executor =
       match parse_replsim_exn target with
@@ -1067,12 +1015,6 @@ let serve_cmd =
                 (Afex.Rarity.rare_count h ~cutoff)
                 (Afex.Rarity.blocks h) cutoff
         in
-        if wire < 1 || wire > Afex_cluster.Message.protocol_version_max
-        then begin
-          Printf.eprintf "afex: --wire must be between 1 and %d\n%!"
-            Afex_cluster.Message.protocol_version_max;
-          exit 2
-        end;
         let chaos_to_client =
           match chaos with
           | None -> None
@@ -1091,8 +1033,8 @@ let serve_cmd =
                 }
         in
         match
-          Afex_cluster.Remote_manager.serve_tcp ~host ~wire_max:wire
-            ?chaos_to_client ~chaos_seed ~port ~once executor
+          Afex_cluster.Remote_manager.serve_tcp ~host ?chaos_to_client
+            ~chaos_seed ~port ~once executor
         with
         | Ok () -> report_rarity ()
         | Error e ->
@@ -1108,7 +1050,7 @@ let serve_cmd =
           protocol); point $(b,explore --manager) at it")
     Term.(
       const run $ target_arg $ host_arg $ port_arg $ once_arg $ multi_arg
-      $ latency_arg $ rarity_cutoff_arg $ wire_arg $ chaos_arg $ chaos_seed_arg
+      $ latency_arg $ rarity_cutoff_arg $ chaos_arg $ chaos_seed_arg
       $ verbose_arg)
 
 (* --- afex inject --- *)

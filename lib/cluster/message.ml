@@ -4,14 +4,13 @@ module Fault = Afex_injector.Fault
 module Outcome = Afex_injector.Outcome
 module Bitset = Afex_stats.Bitset
 
-let protocol_version = 1
-let protocol_version_max = 2
+let protocol_version = 2
 let max_line = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
 (* Percent-escaping: stack frames and error messages may contain       *)
-(* anything (spaces, commas, newlines, non-ASCII); the wire format     *)
-(* tokenizes on spaces and joins list elements with commas, so both    *)
+(* anything (spaces, commas, newlines, non-ASCII); the text formats    *)
+(* tokenize on spaces and join list elements with commas, so both      *)
 (* must be escaped along with control and non-ASCII bytes.             *)
 (* ------------------------------------------------------------------ *)
 
@@ -80,48 +79,12 @@ let decode_greeting line =
   | [ "REJECT" ] -> Ok (Reject "")
   | _ -> Error (Printf.sprintf "malformed greeting %S" line)
 
-(* ------------------------------------------------------------------ *)
-(* Explorer -> manager                                                 *)
-(* ------------------------------------------------------------------ *)
-
 type to_manager =
   | Run_scenario of { seq : int; scenario : Scenario.t }
   | Shutdown
 
-let encode_to_manager = function
-  | Shutdown -> "SHUTDOWN"
-  | Run_scenario { seq; scenario } ->
-      Printf.sprintf "RUN %d %s" seq (Scenario.to_string scenario)
-
-let decode_to_manager line =
-  if String.length line > max_line then
-    Error
-      (Printf.sprintf "oversized message: %d bytes exceeds the %d-byte limit"
-         (String.length line) max_line)
-  else begin
-    let line = String.trim line in
-    if String.equal line "" then Error "empty message"
-    else if String.equal line "SHUTDOWN" then Ok Shutdown
-    else begin
-      match String.split_on_char ' ' line with
-      | "RUN" :: seq :: (_ :: _ as rest) -> (
-          match int_of_string_opt seq with
-          | None -> Error (Printf.sprintf "malformed sequence number %S" seq)
-          | Some seq when seq < 0 ->
-              Error (Printf.sprintf "negative sequence number %d" seq)
-          | Some seq -> (
-              match Scenario.of_string (String.concat " " rest) with
-              | Ok [] -> Error "empty scenario"
-              | Ok scenario -> Ok (Run_scenario { seq; scenario })
-              | Error e -> Error e))
-      | [ "RUN" ] | [ "RUN"; _ ] ->
-          Error "RUN needs a sequence number and a scenario"
-      | _ -> Error (Printf.sprintf "unknown message %S" line)
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Manager -> explorer                                                 *)
+(* Run reports and their text record (the checkpoint journal format)   *)
 (* ------------------------------------------------------------------ *)
 
 type run_report = {
@@ -379,8 +342,8 @@ let pp_from_manager ppf = function
 (* Wire protocol v2: binary records, coalesced several to a frame      *)
 (* ------------------------------------------------------------------ *)
 
-(* A v2 frame payload is a concatenation of tagged binary records
-   instead of one percent-escaped text line. Scalars are LEB128
+(* A v2 frame payload is a concatenation of tagged binary records.
+   Scalars are LEB128
    varints (zigzag for signed), strings are length-prefixed raw bytes
    — no escaping. Two pieces of per-connection state make steady-state
    records small: the server interns stack frames into a dictionary it
@@ -752,8 +715,9 @@ module V2 = struct
      from the previous run's end (the first run ships its absolute
      start) and the run length minus one. Coverage is overwhelmingly
      contiguous stretches of block indices, so a run costs ~2 bytes
-     regardless of its length: the binary-density counterpart of v1's
-     "a-b" text ranges, which per-block gap encoding loses badly to. *)
+     regardless of its length: the binary-density counterpart of the
+     text record's "a-b" ranges, which per-block gap encoding loses
+     badly to. *)
   let add_coverage b cov =
     let rec runs acc start last = function
       | [] -> List.rev ((start, last) :: acc)

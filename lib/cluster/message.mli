@@ -1,35 +1,33 @@
 (** The explorer <-> node-manager protocol (§6, Fig. 2).
 
-    The explorer sends fault scenarios in the Fig. 5 wire format; managers
-    break them into atomic faults, drive injectors and sensors, and send
-    back the measured result. Both directions are single lines of text
-    (the transport frames them); every decoder is total and returns
-    [Error] on malformed input — wire bytes are never trusted.
+    The explorer sends fault scenarios; managers break them into atomic
+    faults, drive injectors and sensors, and send back the measured
+    result. A connection opens with a text handshake: the client sends
+    [HELLO afex 2], and the manager answers [WELCOME afex 2] or, for any
+    other version, [REJECT] with a reason. After it, both directions
+    carry {!V2} frames: several varint-encoded binary records per frame.
+    Both ends ship in the same build, so there is exactly one protocol
+    version; a mismatch is a refused connection, never a fallback codec.
 
-    The protocol is versioned: a connection opens with a [HELLO v]
-    handshake carrying the client's preferred version and the manager
-    answers [WELCOME v] for any version it speaks (at most
-    {!protocol_version_max}) or [REJECT]. Version 1 is the line-oriented
-    text protocol below; version 2 ({!V2}) packs several varint-encoded
-    binary records into each frame. A v2 client meeting a v1-only
-    manager redials offering version 1, so mixed fleets interoperate. *)
+    The percent-escaped text codecs below ({!encode_from_manager} and the
+    field codecs) are not a wire protocol: they are the record format of
+    the checkpoint journal. Every decoder here is total and returns
+    [Error] on malformed input — wire and disk bytes are never trusted. *)
 
 val protocol_version : int
-(** The baseline (v1) version every peer speaks. *)
-
-val protocol_version_max : int
-(** The newest protocol version this build can negotiate (2). *)
+(** The one protocol version this build speaks (2). *)
 
 val max_line : int
-(** Maximum accepted length of one protocol line (1 MiB); longer input is
-    rejected by the decoders rather than parsed. *)
+(** Maximum accepted length of one text record, and of one string inside
+    a binary record (1 MiB); longer input is rejected by the decoders
+    rather than parsed. *)
 
 (** {2 Field codecs}
 
-    The building blocks of the wire format, exposed so other line-oriented
-    formats (the checkpoint snapshot codec, the outcome write-ahead
-    journal) encode the same data the same way — and inherit decoders that
-    are already total and chaos-tested. *)
+    The building blocks of the journal's run-report record, exposed so the
+    other line-oriented formats (the checkpoint snapshot codec) encode the
+    same data the same way — and inherit decoders that are already total
+    and property-tested. *)
 
 val escape : string -> string
 (** Percent-escape: the result contains no spaces, commas, [%], control
@@ -68,20 +66,18 @@ val encode_welcome : version:int -> string
 val encode_reject : reason:string -> string
 val decode_greeting : string -> (greeting, string) result
 
-(** {2 Explorer -> manager} *)
+(** {2 Explorer -> manager}
+
+    Carried by {!V2.encode_request} / {!V2.decode_requests}. *)
 
 type to_manager =
   | Run_scenario of { seq : int; scenario : Afex_faultspace.Scenario.t }
   | Shutdown
 
-val encode_to_manager : to_manager -> string
-(** Line-oriented wire encoding (scenario payload in Fig. 5 format). *)
+(** {2 Manager -> explorer}
 
-val decode_to_manager : string -> (to_manager, string) result
-(** Total: empty lines, malformed or negative sequence numbers, missing
-    scenarios and payloads beyond {!max_line} all return [Error]. *)
-
-(** {2 Manager -> explorer} *)
+    Carried by {!V2.encode_reply} / {!V2.decode_replies}; the text codec
+    after them is the checkpoint journal's record format. *)
 
 type run_report = {
   seq : int;
@@ -114,9 +110,10 @@ val outcome_of_report :
     index falls outside [\[0, total_blocks)]. *)
 
 val encode_from_manager : from_manager -> string
-(** One line. Stack frames and error messages are percent-escaped, so
-    newlines, spaces, commas and non-ASCII bytes round-trip; the duration
-    is carried as a hexadecimal float and round-trips exactly. *)
+(** One journal line. Stack frames and error messages are
+    percent-escaped, so newlines, spaces, commas and non-ASCII bytes
+    round-trip; the duration is carried as a hexadecimal float and
+    round-trips exactly. *)
 
 val decode_from_manager : string -> (from_manager, string) result
 (** Total inverse of {!encode_from_manager}. *)
@@ -125,11 +122,11 @@ val pp_from_manager : Format.formatter -> from_manager -> unit
 
 (** {2 Wire protocol v2}
 
-    The binary codec negotiated as version 2. A v2 frame payload is a
-    concatenation of tagged records — requests and reports coalesce,
-    many to a frame — with LEB128 varint scalars and length-prefixed raw
-    strings instead of percent-escaped text. Each direction carries
-    per-connection codec state:
+    The binary codec every connection speaks after the handshake. A v2
+    frame payload is a concatenation of tagged records — requests and
+    reports coalesce, many to a frame — with LEB128 varint scalars and
+    length-prefixed raw strings instead of percent-escaped text. Each
+    direction carries per-connection codec state:
 
     - the server interns stack frames and fault descriptors into a
       dictionary, announced to the client through incremental [DICT]

@@ -88,7 +88,6 @@ type stats = {
   batches : int;
   remote_runs : int;
   remote_fallbacks : int;
-  wire_downgrades : int;
   wall_ms : float;
 }
 
@@ -176,8 +175,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
   in
   let executed = ref 0 and cache_hits = ref 0 in
   let remote_runs0 = Runtime.remote_runs t.runtime
-  and remote_fallbacks0 = Runtime.remote_fallbacks t.runtime
-  and wire_downgrades0 = Runtime.wire_downgrades t.runtime in
+  and remote_fallbacks0 = Runtime.remote_fallbacks t.runtime in
   (* Stop-target accounting, as in Session.run: distinct points only. *)
   let matched = Hashtbl.create 16 and stop_iteration = ref None in
   let target_met () =
@@ -503,7 +501,6 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
       batches = !observed_rounds;
       remote_runs = Runtime.remote_runs t.runtime - remote_runs0;
       remote_fallbacks = Runtime.remote_fallbacks t.runtime - remote_fallbacks0;
-      wire_downgrades = Runtime.wire_downgrades t.runtime - wire_downgrades0;
       wall_ms = 1000.0 *. (Unix.gettimeofday () -. started);
     } )
 

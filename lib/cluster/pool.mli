@@ -100,10 +100,8 @@ type stats = {
   batches : int;  (** scheduler rounds observed this session *)
   remote_runs : int;  (** scenarios whose outcome came over the wire *)
   remote_fallbacks : int;
-      (** remote attempts that failed and were re-run locally *)
-  wire_downgrades : int;
-      (** remote connections that fell back to wire protocol v1 because
-          the manager rejected the preferred version *)
+      (** remote attempts that failed and were re-run locally — a
+          manager that refuses the handshake included *)
   wall_ms : float;  (** real elapsed time of the session loop *)
 }
 

@@ -28,44 +28,41 @@ type spec = {
   dial : unit -> (Transport.t, Transport.error) result;
   max_attempts : int;
   backoff_ms : float;
-  wire : int;
-  flush_bytes : int;
 }
 
-let spec ?(max_attempts = 3) ?(backoff_ms = 50.0)
-    ?(wire = Message.protocol_version_max) ?(flush_bytes = 8192) ~name dial =
+let spec ?(max_attempts = 3) ?(backoff_ms = 50.0) ~name dial =
   if max_attempts < 1 then invalid_arg "Remote_manager.spec: need at least one attempt";
-  if wire < 1 || wire > Message.protocol_version_max then
-    invalid_arg "Remote_manager.spec: unknown wire protocol version";
-  if flush_bytes < 1 then invalid_arg "Remote_manager.spec: flush_bytes must be positive";
-  { name; dial; max_attempts; backoff_ms; wire; flush_bytes }
+  { name; dial; max_attempts; backoff_ms }
 
-let tcp_spec ?recv_timeout_ms ?max_attempts ?backoff_ms ?wire ?flush_bytes
-    ~host ~port () =
-  spec ?max_attempts ?backoff_ms ?wire ?flush_bytes
+let tcp_spec ?recv_timeout_ms ?max_attempts ?backoff_ms ~host ~port () =
+  spec ?max_attempts ?backoff_ms
     ~name:(Printf.sprintf "%s:%d" host port)
     (fun () -> Transport.connect_tcp ?recv_timeout_ms ~host ~port ())
 
+(* Coalescing threshold, both directions: buffered records go out as one
+   frame once the payload reaches this size (roughly a hundred requests;
+   the client also flushes when credit runs out or the event loop is
+   about to wait). *)
+let flush_bytes = 8192
+
 (* ------------------------------------------------------------------ *)
-(* Negotiation and per-connection codec state                          *)
+(* Handshake and per-connection codec state                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One negotiated connection plus everything whose lifetime is the
-   connection's: the v2 scenario-delta encoder, the mirror stack-frame
-   dictionary, and the outgoing coalescing buffer. A redial builds a
-   fresh [live] — that is the defined dictionary reset on reconnect. *)
+(* One connection plus everything whose lifetime is the connection's:
+   the scenario-delta encoder, the mirror stack-frame dictionary, and
+   the outgoing coalescing buffer. A redial builds a fresh [live] — that
+   is the defined dictionary reset on reconnect. *)
 type live = {
   tr : Transport.t;
-  version : int;
   enc : Message.V2.client_enc;
   dec : Message.V2.client_dec;
   out : Buffer.t;
 }
 
-let live tr version =
+let live tr =
   {
     tr;
-    version;
     enc = Message.V2.client_enc ();
     dec = Message.V2.client_dec ();
     out = Buffer.create 256;
@@ -74,8 +71,6 @@ let live tr version =
 (* Wire accounting that outlives connections: each transport's own
    counters are folded in exactly once, when the connection retires. *)
 type wire_acct = {
-  mutable negotiated : int; (* most recent; 0 = never connected *)
-  mutable downgrades : int;
   mutable frames_out : int;
   mutable frames_in : int;
   mutable bytes_out : int;
@@ -83,14 +78,7 @@ type wire_acct = {
 }
 
 let wire_acct () =
-  {
-    negotiated = 0;
-    downgrades = 0;
-    frames_out = 0;
-    frames_in = 0;
-    bytes_out = 0;
-    bytes_in = 0;
-  }
+  { frames_out = 0; frames_in = 0; bytes_out = 0; bytes_in = 0 }
 
 let retire acct (l : live) =
   let c = l.tr.Transport.counters in
@@ -100,51 +88,37 @@ let retire acct (l : live) =
   acct.bytes_in <- acct.bytes_in + c.Transport.bytes_in;
   l.tr.Transport.close ()
 
-let hello (conn : Transport.t) version =
+let hello (conn : Transport.t) =
+  let version = Message.protocol_version in
   match conn.send (Message.encode_hello ~version) with
-  | Error e -> Error (`Err (Transport e))
+  | Error e -> Error (Transport e)
   | Ok () -> (
       match conn.recv () with
-      | Error e -> Error (`Err (Transport e))
+      | Error e -> Error (Transport e)
       | Ok line -> (
           match Message.decode_greeting line with
-          | Error m -> Error (`Err (Protocol m))
-          | Ok (Message.Reject reason) -> Error (`Rejected reason)
+          | Error m -> Error (Protocol m)
+          | Ok (Message.Reject reason) ->
+              Error (Protocol ("manager rejected the handshake: " ^ reason))
+          | Ok (Message.Welcome v) when v = version -> Ok ()
           | Ok (Message.Welcome v) ->
-              if v >= 1 && v <= version then Ok v
-              else
-                Error
-                  (`Err
-                    (Protocol
-                       (Printf.sprintf
-                          "manager welcomed version %d to an offer of %d" v
-                          version)))))
+              Error
+                (Protocol
+                   (Printf.sprintf "manager welcomed version %d to an offer of %d"
+                      v version))))
 
-(* Dial offering [pref]; a manager that rejects the offer gets one more
-   dial offering v1. That is the whole downgrade story — the caller
-   records the negotiated version as its next preference, so a v2
-   client behind a v1-only manager pays the double dial once. *)
-let dial_negotiate spec ~pref =
-  let try_dial version =
-    match spec.dial () with
-    | Error e -> Error (`Err (Transport e))
-    | Ok conn -> (
-        match hello conn version with
-        | Ok v -> Ok (conn, v)
-        | Error e ->
-            conn.Transport.close ();
-            Error e)
-  in
-  let rejected reason = Protocol ("manager rejected the handshake: " ^ reason) in
-  match try_dial pref with
-  | Ok (conn, v) -> Ok (conn, v)
-  | Error (`Rejected _) when pref > 1 -> (
-      match try_dial 1 with
-      | Ok (conn, v) -> Ok (conn, v)
-      | Error (`Rejected reason) -> Error (rejected reason)
-      | Error (`Err e) -> Error e)
-  | Error (`Rejected reason) -> Error (rejected reason)
-  | Error (`Err e) -> Error e
+(* One dial, one HELLO. A refusal fails the dial like any transport
+   fault: the caller's retry budget and local fallback take it from
+   there. *)
+let dial spec =
+  match spec.dial () with
+  | Error e -> Error (Transport e)
+  | Ok conn -> (
+      match hello conn with
+      | Ok () -> Ok (live conn)
+      | Error e ->
+          conn.Transport.close ();
+          Error e)
 
 (* ------------------------------------------------------------------ *)
 (* Client proxy                                                        *)
@@ -155,8 +129,6 @@ type stats = {
   retries : int;
   dials : int;
   manager_errors : int;
-  wire : int;
-  wire_downgrades : int;
   frames_out : int;
   frames_in : int;
   bytes_out : int;
@@ -183,8 +155,6 @@ let build_stats ~requests ~retries ~dials ~manager_errors (acct : wire_acct)
     retries;
     dials;
     manager_errors;
-    wire = acct.negotiated;
-    wire_downgrades = acct.downgrades;
     frames_out;
     frames_in;
     bytes_out;
@@ -196,7 +166,6 @@ type t = {
   spec : spec;
   total_blocks : int;
   mutable conn : live option;
-  mutable pref : int;
   acct : wire_acct;
   mutable seq : int;
   mutable n_requests : int;
@@ -210,7 +179,6 @@ let create spec ~total_blocks =
     spec;
     total_blocks;
     conn = None;
-    pref = spec.wire;
     acct = wire_acct ();
     seq = 0;
     n_requests = 0;
@@ -232,20 +200,10 @@ let drop_conn t =
       t.conn <- None
   | None -> ()
 
-let record_negotiated acct ~pref v =
-  if v < pref then begin
-    acct.downgrades <- acct.downgrades + 1;
-    Log.info (fun m -> m "downgraded to wire protocol v%d (offered v%d)" v pref)
-  end;
-  acct.negotiated <- v
-
 let connect t =
   t.n_dials <- t.n_dials + 1;
-  match dial_negotiate t.spec ~pref:t.pref with
-  | Ok (conn, v) ->
-      record_negotiated t.acct ~pref:t.pref v;
-      t.pref <- v;
-      let l = live conn v in
+  match dial t.spec with
+  | Ok l ->
       t.conn <- Some l;
       Ok l
   | Error e -> Error e
@@ -263,27 +221,17 @@ let backoff t attempt =
   if delay > 0.0 then Unix.sleepf (delay /. 1000.0)
 
 let send_request (l : live) ~seq scenario =
-  if l.version >= 2 then begin
-    Buffer.clear l.out;
-    Message.V2.encode_request l.enc l.out ~seq scenario;
-    l.tr.Transport.send (Buffer.contents l.out)
-  end
-  else
-    l.tr.Transport.send
-      (Message.encode_to_manager (Message.Run_scenario { seq; scenario }))
+  Buffer.clear l.out;
+  Message.V2.encode_request l.enc l.out ~seq scenario;
+  l.tr.Transport.send (Buffer.contents l.out)
 
 let recv_replies (l : live) =
   match l.tr.Transport.recv () with
   | Error e -> Error (Transport.string_of_error e)
   | Ok payload ->
-      if l.version >= 2 then
-        match Message.V2.decode_replies l.dec payload with
-        | Error m -> Error ("undecodable reply: " ^ m)
-        | Ok msgs -> Ok msgs
-      else (
-        match Message.decode_from_manager payload with
-        | Error m -> Error ("undecodable reply: " ^ m)
-        | Ok msg -> Ok [ msg ])
+      Result.map_error
+        (fun m -> "undecodable reply: " ^ m)
+        (Message.V2.decode_replies l.dec payload)
 
 (* Read replies until the one matching [seq]: chaos can duplicate frames,
    so stale sequence numbers are skipped rather than fatal. *)
@@ -349,13 +297,10 @@ let run_scenario t scenario =
   attempt 1 "never attempted"
 
 let send_shutdown (l : live) =
-  if l.version >= 2 then begin
-    Message.V2.encode_shutdown l.out;
-    let payload = Buffer.contents l.out in
-    Buffer.clear l.out;
-    ignore (l.tr.Transport.send payload)
-  end
-  else ignore (l.tr.Transport.send (Message.encode_to_manager Message.Shutdown))
+  Message.V2.encode_shutdown l.out;
+  let payload = Buffer.contents l.out in
+  Buffer.clear l.out;
+  ignore (l.tr.Transport.send payload)
 
 let close t =
   (match t.conn with
@@ -378,7 +323,6 @@ module Pipelined = struct
     mutable state : conn_state;
     outstanding : (int, int) Hashtbl.t; (* wire seq -> caller tag *)
     mutable orphans : int list;
-    mutable pref : int;
     acct : wire_acct;
     mutable seq : int;
     mutable credit : int; (* in-flight cap; the scheduler's knob *)
@@ -396,7 +340,6 @@ module Pipelined = struct
       state = Idle;
       outstanding = Hashtbl.create 16;
       orphans = [];
-      pref = spec.wire;
       acct = wire_acct ();
       seq = 0;
       credit = max_int;
@@ -469,11 +412,8 @@ module Pipelined = struct
           (Exhausted { attempts = t.spec.max_attempts; last = "manager abandoned" })
     | Idle -> (
         t.n_dials <- t.n_dials + 1;
-        match dial_negotiate t.spec ~pref:t.pref with
-        | Ok (c, v) ->
-            record_negotiated t.acct ~pref:t.pref v;
-            t.pref <- v;
-            let l = live c v in
+        match dial t.spec with
+        | Ok l ->
             t.state <- Connected l;
             Ok l
         | Error e ->
@@ -508,39 +448,24 @@ module Pipelined = struct
     | Ok l ->
         t.seq <- t.seq + 1;
         let seq = t.seq in
-        if l.version >= 2 then begin
-          (* Coalesce: the record lands in the connection buffer and the
-             frame goes out when the buffer reaches [flush_bytes], when
-             the in-flight credit is exhausted (nothing more is coming
-             until replies arrive), or when the event loop is about to
-             wait ({!flush}). *)
-          Message.V2.encode_request l.enc l.out ~seq scenario;
-          t.n_requests <- t.n_requests + 1;
-          Hashtbl.replace t.outstanding seq tag;
-          if Buffer.length l.out >= t.spec.flush_bytes || not (has_credit t)
-          then (
-            match flush_live t l with
-            | Ok () -> Ok ()
-            | Error e ->
-                (* [fail] orphaned everything on the wire including this
-                   request, but its failure is reported synchronously:
-                   the caller owns this retry, not {!take_orphans}. *)
-                t.orphans <- List.filter (fun tg -> tg <> tag) t.orphans;
-                Error e)
-          else Ok ()
-        end
-        else (
-          let line =
-            Message.encode_to_manager (Message.Run_scenario { seq; scenario })
-          in
-          match l.tr.Transport.send line with
-          | Ok () ->
-              t.n_requests <- t.n_requests + 1;
-              Hashtbl.replace t.outstanding seq tag;
-              Ok ()
+        (* Coalesce: the record lands in the connection buffer and the
+           frame goes out when the buffer reaches [flush_bytes], when the
+           in-flight credit is exhausted (nothing more is coming until
+           replies arrive), or when the event loop is about to wait
+           ({!flush}). *)
+        Message.V2.encode_request l.enc l.out ~seq scenario;
+        t.n_requests <- t.n_requests + 1;
+        Hashtbl.replace t.outstanding seq tag;
+        if Buffer.length l.out >= flush_bytes || not (has_credit t) then (
+          match flush_live t l with
+          | Ok () -> Ok ()
           | Error e ->
-              fail t;
-              Error (Transport e))
+              (* [fail] orphaned everything on the wire including this
+                 request, but its failure is reported synchronously: the
+                 caller owns this retry, not {!take_orphans}. *)
+              t.orphans <- List.filter (fun tg -> tg <> tag) t.orphans;
+              Error e)
+        else Ok ()
 
   (* Everything already on the wire, matched out of order: responses
      carry the request's seq, so a manager answering seq 5 before seq 3
@@ -554,13 +479,6 @@ module Pipelined = struct
         match flush_live t l with
         | Error _ -> []
         | Ok () ->
-            let decode payload =
-              if l.version >= 2 then Message.V2.decode_replies l.dec payload
-              else
-                Result.map
-                  (fun msg -> [ msg ])
-                  (Message.decode_from_manager payload)
-            in
             let rec consume msgs acc =
               match msgs with
               | [] -> loop acc
@@ -597,7 +515,7 @@ module Pipelined = struct
                   fail t;
                   List.rev acc
               | Ok (Some payload) -> (
-                  match decode payload with
+                  match Message.V2.decode_replies l.dec payload with
                   | Error _ ->
                       (* The frame passed its checksum but carries junk
                          (or lands on desynchronized dictionary state):
@@ -623,39 +541,13 @@ end
 (* Server loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let serve_v1 manager (conn : Transport.t) =
-  let rec loop () =
-    match conn.recv () with
-    | Error Transport.Closed -> Ok ()
-    | Error Transport.Timeout -> loop () (* idle client *)
-    | Error e -> Error (Transport e)
-    | Ok line -> (
-        match Message.decode_to_manager line with
-        | Error m -> (
-            match
-              conn.send
-                (Message.encode_from_manager
-                   (Message.Manager_error { seq = -1; message = m }))
-            with
-            | Ok () -> loop ()
-            | Error e -> Error (Transport e))
-        | Ok msg -> (
-            match Node_manager.handle manager msg with
-            | None -> Ok () (* shutdown *)
-            | Some (reply, _elapsed) -> (
-                match conn.send (Message.encode_from_manager reply) with
-                | Ok () -> loop ()
-                | Error e -> Error (Transport e))))
-  in
-  loop ()
-
-(* The v2 loop: frames carry several requests; every reply to one
-   incoming frame coalesces into one outgoing frame (split only past
-   [flush_bytes]), so syscalls scale with frames, not tests. Any decode
-   error is connection-fatal by design — the per-connection dictionary
-   and delta state can no longer be trusted, so the client must redial
-   with fresh state rather than risk a silently wrong report. *)
-let serve_v2 manager (conn : Transport.t) ~flush_bytes =
+(* Frames carry several requests; every reply to one incoming frame
+   coalesces into one outgoing frame (split only past [flush_bytes]), so
+   syscalls scale with frames, not tests. Any decode error is
+   connection-fatal by design — the per-connection dictionary and delta
+   state can no longer be trusted, so the client must redial with fresh
+   state rather than risk a silently wrong report. *)
+let serve manager (conn : Transport.t) =
   let sdec = Message.V2.server_dec () in
   let senc = Message.V2.server_enc () in
   let b = Buffer.create 1024 in
@@ -703,8 +595,8 @@ let serve_v2 manager (conn : Transport.t) ~flush_bytes =
   in
   loop ()
 
-let serve_connection ?(wire_max = Message.protocol_version_max)
-    ?(flush_bytes = 8192) manager (conn : Transport.t) =
+let serve_connection manager (conn : Transport.t) =
+  let version = Message.protocol_version in
   let result =
     match conn.recv () with
     | Error e -> Error (Transport e)
@@ -713,33 +605,28 @@ let serve_connection ?(wire_max = Message.protocol_version_max)
         | Error m ->
             ignore (conn.send (Message.encode_reject ~reason:m));
             Error (Protocol m)
-        | Ok v when v < 1 || v > wire_max ->
+        | Ok v when v <> version ->
             let reason =
               Printf.sprintf "unsupported protocol version %d (manager speaks %d)"
-                v wire_max
+                v version
             in
             ignore (conn.send (Message.encode_reject ~reason));
             Error (Protocol reason)
-        | Ok v -> (
-            (* Welcome exactly the offered version: a v1 client never
-               sees anything a v1 server would not have sent. *)
-            match conn.send (Message.encode_welcome ~version:v) with
+        | Ok _ -> (
+            match conn.send (Message.encode_welcome ~version) with
             | Error e -> Error (Transport e)
-            | Ok () ->
-                if v >= 2 then serve_v2 manager conn ~flush_bytes
-                else serve_v1 manager conn))
+            | Ok () -> serve manager conn))
   in
   conn.Transport.close ();
   result
 
-let serve_tcp ?(host = "127.0.0.1") ?wire_max ?flush_bytes ?chaos_to_client
-    ?(chaos_seed = 0) ~port ~once executor =
+let serve_tcp ?(host = "127.0.0.1") ?chaos_to_client ?(chaos_seed = 0) ~port
+    ~once executor =
   match Transport.listen_tcp ~host ~port () with
   | Error e -> Error (Transport e)
   | Ok (listen_fd, actual_port) ->
       Printf.printf "afex-manager listening on %s:%d (protocol v%d)\n%!" host
-        actual_port
-        (Option.value wire_max ~default:Message.protocol_version_max);
+        actual_port Message.protocol_version;
       let rec accept_loop id =
         let mangle =
           Option.map
@@ -753,7 +640,7 @@ let serve_tcp ?(host = "127.0.0.1") ?wire_max ?flush_bytes ?chaos_to_client
         | Ok conn -> (
             Log.info (fun m -> m "connection %d from %s" id conn.Transport.peer);
             let manager = Node_manager.create ~id ~executor () in
-            let result = serve_connection ?wire_max ?flush_bytes manager conn in
+            let result = serve_connection manager conn in
             (match result with
             | Ok () ->
                 Log.info (fun m ->
@@ -777,7 +664,6 @@ module Loopback = struct
   type server = {
     executor : Afex.Executor.t;
     name : string;
-    wire_max : int;
     chaos_to_server : Transport.chaos option;
     chaos_to_client : Transport.chaos option;
     chaos_seed : int;
@@ -787,13 +673,11 @@ module Loopback = struct
     mutable next_id : int;
   }
 
-  let create ?(wire_max = Message.protocol_version_max) ?chaos_to_server
-      ?chaos_to_client ?(chaos_seed = 0) ?recv_timeout_ms ?(name = "loopback")
-      ~executor () =
+  let create ?chaos_to_server ?chaos_to_client ?(chaos_seed = 0)
+      ?recv_timeout_ms ?(name = "loopback") ~executor () =
     {
       executor;
       name;
-      wire_max;
       chaos_to_server;
       chaos_to_client;
       chaos_seed;
@@ -821,19 +705,14 @@ module Loopback = struct
       Transport.pair ?recv_timeout_ms:server.recv_timeout_ms ?mangle_a ?mangle_b ()
     in
     let manager = Node_manager.create ~id ~executor:server.executor () in
-    let wire_max = server.wire_max in
-    let d =
-      Domain.spawn (fun () ->
-          ignore (serve_connection ~wire_max manager server_end))
-    in
+    let d = Domain.spawn (fun () -> ignore (serve_connection manager server_end)) in
     Mutex.lock server.lock;
     server.domains <- d :: server.domains;
     Mutex.unlock server.lock;
     Ok client_end
 
-  let spec ?max_attempts ?backoff_ms ?wire ?flush_bytes server =
-    spec ?max_attempts ?backoff_ms ?wire ?flush_bytes ~name:server.name
-      (dial server)
+  let spec ?max_attempts ?backoff_ms server =
+    spec ?max_attempts ?backoff_ms ~name:server.name (dial server)
 
   let connections server =
     Mutex.lock server.lock;

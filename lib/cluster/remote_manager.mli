@@ -3,9 +3,11 @@
     that puts a real {!Node_manager} behind the wire protocol.
 
     The proxy owns reliability: a versioned handshake on every
-    connection, sequence-numbered request/reply matching (stale and
-    duplicated replies are skipped), bounded per-request retries with
-    exponential backoff, and reconnection on any transport fault. After
+    connection (a manager that refuses it fails the dial, which is
+    retried like any transport fault — there is no fallback codec),
+    sequence-numbered request/reply matching (stale and duplicated
+    replies are skipped), bounded per-request retries with exponential
+    backoff, and reconnection on any transport fault. After
     the retry budget is exhausted the request fails with a typed error —
     the caller then re-runs the scenario locally, so a dead or byzantine
     manager can slow a campaign down but never stall or corrupt it.
@@ -24,7 +26,8 @@
 type error =
   | Transport of Transport.error
   | Protocol of string
-      (** handshake failure, version mismatch, or an undecodable reply *)
+      (** handshake failure, refused protocol version, or an undecodable
+          reply *)
   | Manager of string
       (** the manager executed the scenario and reported a failure;
           deterministic, so never retried *)
@@ -40,34 +43,21 @@ type spec = {
   dial : unit -> (Transport.t, Transport.error) result;
   max_attempts : int;  (** per-request attempts, including the first *)
   backoff_ms : float;  (** base of the exponential reconnect backoff *)
-  wire : int;
-      (** preferred wire protocol version offered in the handshake; a
-          manager that rejects it is redialed offering v1 (counted as a
-          downgrade, sticky for later reconnects) *)
-  flush_bytes : int;
-      (** v2 coalescing threshold: buffered request records are flushed
-          once the frame payload reaches this size (the credit/event
-          loop flushes sooner — see {!Pipelined.flush}) *)
 }
 
 val spec :
   ?max_attempts:int ->
   ?backoff_ms:float ->
-  ?wire:int ->
-  ?flush_bytes:int ->
   name:string ->
   (unit -> (Transport.t, Transport.error) result) ->
   spec
-(** Defaults: 3 attempts, 50 ms base backoff, wire
-    {!Message.protocol_version_max}, 8 KiB flush threshold.
-    @raise Invalid_argument on a wire version this build cannot speak. *)
+(** Defaults: 3 attempts, 50 ms base backoff.
+    @raise Invalid_argument when [max_attempts < 1]. *)
 
 val tcp_spec :
   ?recv_timeout_ms:int ->
   ?max_attempts:int ->
   ?backoff_ms:float ->
-  ?wire:int ->
-  ?flush_bytes:int ->
   host:string ->
   port:int ->
   unit ->
@@ -89,19 +79,13 @@ type stats = {
   retries : int;
   dials : int;
   manager_errors : int;
-  wire : int;
-      (** most recently negotiated protocol version; 0 before the first
-          successful handshake *)
-  wire_downgrades : int;
-      (** times the manager rejected the preferred version and the
-          connection fell back to v1 *)
   frames_out : int;  (** frames sent, across all connections so far *)
   frames_in : int;
   bytes_out : int;  (** wire bytes sent, frame headers included *)
   bytes_in : int;
   dict_size : int;
-      (** stack frames interned on the current connection's v2
-          dictionary; 0 when disconnected or on v1 *)
+      (** stack frames interned on the current connection's
+          dictionary; 0 when disconnected *)
 }
 
 val stats : t -> stats
@@ -193,15 +177,15 @@ module Pipelined : sig
       override stays possible. *)
 
   val flush : conn -> (unit, error) result
-  (** Send whatever is sitting in the v2 coalescing buffer as one frame.
-      {!submit} flushes by itself at [spec.flush_bytes] and when credit
-      runs out; the event loop calls this before blocking in [select],
-      so a partially filled frame never stalls the pipeline. No-op on
-      v1, when the buffer is empty, or when disconnected. On [Error]
+  (** Send whatever is sitting in the coalescing buffer as one frame.
+      {!submit} flushes by itself once the buffer reaches 8 KiB and when
+      credit runs out; the event loop calls this before blocking in
+      [select], so a partially filled frame never stalls the pipeline.
+      No-op when the buffer is empty or when disconnected. On [Error]
       the connection was dropped ({!take_orphans} applies). *)
 
   val buffered : conn -> int
-  (** Bytes currently coalescing (0 on v1 / disconnected). *)
+  (** Bytes currently coalescing (0 when disconnected). *)
 
   val awaiting : conn -> int -> bool
   (** [awaiting conn tag]: is [tag] still on this connection's wire? A
@@ -227,30 +211,21 @@ end
 
 (** {2 The server side} *)
 
-val serve_connection :
-  ?wire_max:int ->
-  ?flush_bytes:int ->
-  Node_manager.t ->
-  Transport.t ->
-  (unit, error) result
-(** Handshake — welcoming any offered version up to [wire_max] (default
-    {!Message.protocol_version_max}; 1 makes the server bit-for-bit a
-    v1 server) and rejecting the rest — then decode requests / run them
-    / reply until [Shutdown] or the peer disconnects (both [Ok]).
+val serve_connection : Node_manager.t -> Transport.t -> (unit, error) result
+(** Handshake — welcoming {!Message.protocol_version} and rejecting any
+    other offer with [Error (Protocol _)] — then decode requests / run
+    them / reply until [Shutdown] or the peer disconnects (both [Ok]).
 
-    Under v1, requests that fail to decode are answered with a
-    [Manager_error] on sequence -1 and the connection survives; under
-    v2 any decode failure (including dictionary/delta desync after a
-    mangled frame) is answered on sequence -1 and then
-    {e connection-fatal} — stateful codecs must never risk a silently
-    wrong report. Replies to one incoming frame coalesce into one
-    outgoing frame, split past [flush_bytes] (default 8 KiB). Receive
-    timeouts while idle are tolerated. Always closes the transport. *)
+    Any decode failure (including dictionary/delta desync after a
+    mangled frame) is answered with a [Manager_error] on sequence -1
+    and is then {e connection-fatal} ([Error (Protocol _)]) — stateful
+    codecs must never risk a silently wrong report. Replies to one
+    incoming frame coalesce into one outgoing frame, split past 8 KiB.
+    Receive timeouts while idle are tolerated. Always closes the
+    transport. *)
 
 val serve_tcp :
   ?host:string ->
-  ?wire_max:int ->
-  ?flush_bytes:int ->
   ?chaos_to_client:Transport.chaos ->
   ?chaos_seed:int ->
   port:int ->
@@ -275,7 +250,6 @@ module Loopback : sig
   type server
 
   val create :
-    ?wire_max:int ->
     ?chaos_to_server:Transport.chaos ->
     ?chaos_to_client:Transport.chaos ->
     ?chaos_seed:int ->
@@ -286,18 +260,9 @@ module Loopback : sig
     server
   (** [chaos_to_server] mangles request frames, [chaos_to_client] reply
       frames; each connection derives fresh RNG streams from
-      [chaos_seed] (default 0), so chaos runs are reproducible.
-      [wire_max] caps the server's negotiable protocol version —
-      [~wire_max:1] stands in for an old v1-only manager in interop
-      tests. *)
+      [chaos_seed] (default 0), so chaos runs are reproducible. *)
 
-  val spec :
-    ?max_attempts:int ->
-    ?backoff_ms:float ->
-    ?wire:int ->
-    ?flush_bytes:int ->
-    server ->
-    spec
+  val spec : ?max_attempts:int -> ?backoff_ms:float -> server -> spec
   (** Each dial spawns a fresh manager on a new domain. *)
 
   val connections : server -> int

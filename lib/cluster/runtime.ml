@@ -396,11 +396,6 @@ let remote_stats t =
       List.map (fun rm -> (Remote_manager.name rm, Remote_manager.stats rm)) rms
   | Event_loop a -> Async_executor.remote_stats a
 
-let wire_downgrades t =
-  List.fold_left
-    (fun acc (_, s) -> acc + s.Remote_manager.wire_downgrades)
-    0 (remote_stats t)
-
 let shutdown t =
   if not t.shut then begin
     t.shut <- true;

@@ -177,10 +177,6 @@ val remote_fallbacks : t -> int
 
 val remote_stats : t -> (string * Remote_manager.stats) list
 
-val wire_downgrades : t -> int
-(** Connections that fell back to wire protocol v1 because the manager
-    rejected the preferred version, summed over all remotes. *)
-
 val shutdown : t -> unit
 (** Join worker domains / close remote connections. Outstanding tasks
     are still executed (domains drain their deques before exiting), but

@@ -52,6 +52,8 @@ let run (cfg : config) search_config sub executor =
   let remaining = ref cfg.iterations in
   let now = ref 0.0 in
   let dispatched = ref 0 in
+  let wire = Buffer.create 256 in
+  let wire_enc = Message.V2.client_enc () and wire_dec = Message.V2.server_dec () in
   (* Assign the next candidate to a free manager. The explorer generates
      candidates sequentially, so each dispatch also charges generation
      time (this is the §6.1 "no problematic bottleneck" cost model). *)
@@ -63,14 +65,11 @@ let run (cfg : config) search_config sub executor =
           incr dispatched;
           let scenario = Afex.Explorer.scenario_for explorer proposal in
           (* Exercise the wire protocol for fidelity. *)
-          let encoded =
-            Message.encode_to_manager
-              (Message.Run_scenario { seq = !dispatched; scenario })
-          in
-          (match Message.decode_to_manager encoded with
-          | Ok (Message.Run_scenario _) -> ()
-          | Ok Message.Shutdown | Error _ ->
-              failwith "Simulation: protocol round-trip failure");
+          Buffer.clear wire;
+          Message.V2.encode_request wire_enc wire ~seq:!dispatched scenario;
+          (match Message.V2.decode_requests wire_dec (Buffer.contents wire) with
+          | Ok [ Message.Run_scenario _ ] -> ()
+          | Ok _ | Error _ -> failwith "Simulation: protocol round-trip failure");
           let outcome, elapsed =
             Node_manager.run_scenario managers.(manager_id) scenario
           in

@@ -126,6 +126,23 @@ let test_tracer_fig4_shape () =
     (fun decl -> checki "4 parameters per declaration" 4 (List.length decl))
     ast
 
+let test_describe_quotes_config_cutoff () =
+  (* The rarity hint `afex describe` prints on stderr quotes the cutoff
+     default the code uses, not a copy of it. The CLI is a test dep. *)
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "afex_cli.exe"
+  in
+  let err_file = Filename.temp_file "describe" ".err" in
+  let cmd =
+    Filename.quote_command cli ~stdout:Filename.null ~stderr:err_file
+      [ "describe"; "--target"; "mysql" ]
+  in
+  checki "describe exits 0" 0 (Sys.command cmd);
+  let err = In_channel.with_open_bin err_file In_channel.input_all in
+  Sys.remove err_file;
+  let want = Printf.sprintf "the default %g keeps" Config.default_rarity.Config.cutoff in
+  checkb (Printf.sprintf "stderr quotes %S" want) true (contains err want)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -143,4 +160,5 @@ let suite =
       ("pqueue capacity accessor", test_pqueue_capacity_accessor);
       ("explorer accessors", test_explorer_accessors);
       ("tracer fig4 shape", test_tracer_fig4_shape);
+      ("describe quotes the Config rarity cutoff", test_describe_quotes_config_cutoff);
     ]

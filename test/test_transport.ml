@@ -258,46 +258,70 @@ let test_handshake_codec () =
     [ ""; "WELCOME"; "WELCOME afex nope"; "HELLO afex 1" ]
 
 let test_serve_rejects_version_mismatch () =
-  let client, server = Transport.pair ~recv_timeout_ms:2000 () in
-  let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
-  let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
-  (match client.Transport.send (Message.encode_hello ~version:999) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e));
-  (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
-  | Ok (Message.Reject _) -> ()
-  | _ -> Alcotest.fail "future protocol version must be rejected");
-  client.Transport.close ();
-  checkb "server reported the protocol error" true
-    (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false)
+  (* A future version and the retired text protocol alike: the one
+     version a build speaks is the only one it welcomes. *)
+  List.iter
+    (fun version ->
+      let client, server = Transport.pair ~recv_timeout_ms:2000 () in
+      let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
+      let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
+      (match client.Transport.send (Message.encode_hello ~version) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e));
+      (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
+      | Ok (Message.Reject _) -> ()
+      | _ -> Alcotest.failf "protocol version %d must be rejected" version);
+      client.Transport.close ();
+      checkb "server reported the protocol error" true
+        (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false))
+    [ 999; 1 ]
 
 let test_wire_session_survives_garbage () =
-  (* Full exchange against a live server domain: handshake, a garbage
-     line (answered, connection survives), a real scenario, shutdown. *)
-  let client, server = Transport.pair ~recv_timeout_ms:2000 () in
+  (* Full exchanges against live server domains sharing one manager: a
+     garbage payload is answered on seq -1 and ends that connection (the
+     stateful codecs cannot be trusted past it); a fresh dial then gets
+     a real scenario served and shuts down cleanly. *)
   let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
-  let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
-  let send line =
-    match client.Transport.send line with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e)
+  let open_session () =
+    let client, server = Transport.pair ~recv_timeout_ms:2000 () in
+    let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
+    let send payload =
+      match client.Transport.send payload with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e)
+    in
+    send (Message.encode_hello ~version:Message.protocol_version);
+    (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
+    | Ok (Message.Welcome v) -> checki "version" Message.protocol_version v
+    | _ -> Alcotest.fail "expected WELCOME");
+    let replies () =
+      get_ok "reply decode"
+        (Message.V2.decode_replies (Message.V2.client_dec ())
+           (get_ok "reply" (client.Transport.recv ())))
+    in
+    (client, d, send, replies)
   in
-  send (Message.encode_hello ~version:Message.protocol_version);
-  (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
-  | Ok (Message.Welcome v) -> checki "version" Message.protocol_version v
-  | _ -> Alcotest.fail "expected WELCOME");
+  let client, d, send, replies = open_session () in
   send "complete nonsense";
-  (match Message.decode_from_manager (get_ok "reply" (client.Transport.recv ())) with
-  | Ok (Message.Manager_error { seq; _ }) -> checki "undecodable -> seq -1" (-1) seq
+  (match replies () with
+  | [ Message.Manager_error { seq; _ } ] -> checki "undecodable -> seq -1" (-1) seq
   | _ -> Alcotest.fail "garbage must be answered with a manager error");
+  checkb "garbage ends the connection" true
+    (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false);
+  client.Transport.close ();
+  let client, d, send, replies = open_session () in
   let scenario = List.hd (sample_scenarios 1) in
-  send (Message.encode_to_manager (Message.Run_scenario { seq = 4; scenario }));
-  (match Message.decode_from_manager (get_ok "reply" (client.Transport.recv ())) with
-  | Ok (Message.Scenario_result r) ->
+  let b = Buffer.create 128 in
+  Message.V2.encode_request (Message.V2.client_enc ()) b ~seq:4 scenario;
+  send (Buffer.contents b);
+  (match replies () with
+  | [ Message.Scenario_result r ] ->
       checki "matching seq" 4 r.Message.seq;
       checki "managers send new_blocks 0" 0 r.Message.new_blocks
   | _ -> Alcotest.fail "expected a scenario result");
-  send (Message.encode_to_manager Message.Shutdown);
+  Buffer.clear b;
+  Message.V2.encode_shutdown b;
+  send (Buffer.contents b);
   checkb "clean server exit" true (Domain.join d = Ok ());
   checki "the manager ran exactly one test" 1 (Node_manager.tests_run manager);
   client.Transport.close ()
@@ -441,33 +465,41 @@ let test_from_manager_malformed () =
     ]
 
 let test_to_manager_total () =
-  (* Satellite: decode_to_manager must reject anything malformed. *)
+  (* The request decoder must reject anything malformed: every
+     truncation of a request record, unknown tags and modes, and strings
+     beyond the length limit. *)
+  let decode payload = Message.V2.decode_requests (Message.V2.server_dec ()) payload in
   let scenario = List.hd (sample_scenarios 1) in
-  let line = Message.encode_to_manager (Message.Run_scenario { seq = 9; scenario }) in
-  (match Message.decode_to_manager line with
-  | Ok (Message.Run_scenario r) ->
+  let b = Buffer.create 128 in
+  Message.V2.encode_request (Message.V2.client_enc ()) b ~seq:9 scenario;
+  let request = Buffer.contents b in
+  (match decode request with
+  | Ok [ Message.Run_scenario r ] ->
       checki "seq" 9 r.seq;
       checks "scenario" (Scenario.to_string scenario) (Scenario.to_string r.scenario)
-  | _ -> Alcotest.fail "RUN must round-trip");
+  | _ -> Alcotest.fail "a request must round-trip");
+  Buffer.clear b;
+  Message.V2.encode_shutdown b;
   checkb "shutdown round-trips" true
-    (Message.decode_to_manager (Message.encode_to_manager Message.Shutdown)
-    = Ok Message.Shutdown);
+    (decode (Buffer.contents b) = Ok [ Message.Shutdown ]);
+  for len = 1 to String.length request - 1 do
+    checkb
+      (Printf.sprintf "reject the %d-byte truncation" len)
+      true
+      (is_error (decode (String.sub request 0 len)))
+  done;
+  let oversized =
+    let b = Buffer.create 16 in
+    (* REQ seq 1, gen 1, full scenario of one binding whose name claims
+       more than max_line bytes. *)
+    Buffer.add_string b "\x01\x01\x01\x00\x01";
+    Message.V2.varint_encode b (Message.max_line + 1);
+    Buffer.contents b
+  in
   List.iter
-    (fun line ->
-      checkb
-        (Printf.sprintf "reject %S" (String.sub line 0 (min 30 (String.length line))))
-        true
-        (is_error (Message.decode_to_manager line)))
-    [
-      "";
-      " ";
-      "RUN";
-      "RUN 1";
-      "RUN x read 1";
-      "RUN -2 read 1";
-      "WALK 1 read 1";
-      "RUN 1 " ^ String.make (Message.max_line + 1) 'a';
-    ]
+    (fun payload ->
+      checkb (Printf.sprintf "reject %S" payload) true (is_error (decode payload)))
+    [ "RUN 1 read 1"; "\x01\x01\x01\x07"; "\x09"; oversized ]
 
 let test_coverage_ranges () =
   let base = random_report (Rng.create 5) in
@@ -524,6 +556,8 @@ let test_loopback_outcome_equality () =
   checki "20 requests" 20 s.RM.requests;
   checki "no retries on a clean wire" 0 s.RM.retries;
   checki "one dial" 1 s.RM.dials;
+  checkb "frames were counted" true (s.RM.frames_out > 0 && s.RM.frames_in > 0);
+  checkb "bytes were counted" true (s.RM.bytes_out > 0 && s.RM.bytes_in > 0);
   RM.close rm;
   RM.Loopback.shutdown lb;
   checki "exactly one connection was made" 1 (RM.Loopback.connections lb)
@@ -701,7 +735,7 @@ let test_pool_rejects_bad_worker_mix () =
   Pool.shutdown pool;
   RM.Loopback.shutdown lb
 
-(* --- wire protocol v2: varints, stateful codecs, negotiation --- *)
+(* --- wire protocol v2: varints, stateful codecs, handshake refusal --- *)
 
 module V2 = Message.V2
 
@@ -912,14 +946,16 @@ let test_v2_desync_is_error () =
     (V2.client_dict_size cdec2)
 
 let test_decoder_chunk_granularity () =
-  (* Satellite: the frame decoder fed v1 (text) and v2 (binary) frames
-     at every chunk granularity 1-7 bytes — chunks landing mid-header,
-     mid-payload and across frame boundaries — must produce identical
-     results. *)
-  let v1_payloads =
+  (* The frame decoder fed text (handshake, journal record) and binary
+     (v2 request and reply) frames at every chunk granularity 1-7 bytes —
+     chunks landing mid-header, mid-payload and across frame boundaries
+     — must produce identical results. *)
+  let leading_payloads =
+    let b = Buffer.create 128 in
+    V2.encode_request (V2.client_enc ()) b ~seq:1 (List.hd (sample_scenarios 1));
     [
-      Message.encode_hello ~version:1;
-      Message.encode_to_manager Message.Shutdown;
+      Message.encode_hello ~version:Message.protocol_version;
+      Buffer.contents b;
       Message.encode_from_manager
         (Message.Scenario_result (random_report (Rng.create 2)));
     ]
@@ -930,7 +966,7 @@ let test_decoder_chunk_granularity () =
     V2.encode_reply senc b (Message.Scenario_result (random_report (Rng.create i)));
     Buffer.contents b
   in
-  let payloads = v1_payloads @ List.map v2_payload [ 3; 4; 5 ] in
+  let payloads = leading_payloads @ List.map v2_payload [ 3; 4; 5 ] in
   let stream = String.concat "" (List.map Transport.Frame.encode payloads) in
   let reference = get_ok "whole-stream decode" (decode_all stream) in
   checkb "whole-stream decode returns the inputs" true (reference = payloads);
@@ -939,7 +975,7 @@ let test_decoder_chunk_granularity () =
     let cdec = V2.client_dec () in
     List.concat_map
       (fun p -> get_ok "v2 payload decode" (V2.decode_replies cdec p))
-      (List.filteri (fun i _ -> i >= List.length v1_payloads) ps)
+      (List.filteri (fun i _ -> i >= List.length leading_payloads) ps)
   in
   let reference_replies = decode_v2_tail reference in
   checki "three v2 replies in the stream" 3 (List.length reference_replies);
@@ -972,55 +1008,70 @@ let test_decoder_chunk_granularity () =
       (decode_v2_tail got = reference_replies)
   done
 
-let test_wire_negotiation_downgrade () =
+(* A manager that refuses every handshake: each dial gets a REJECT as
+   its greeting. [offered] collects the version of every HELLO sent. *)
+let rejecting_manager () =
+  let offered = ref [] in
+  let dial () =
+    let client, server = Transport.pair ~recv_timeout_ms:2000 () in
+    ignore (server.Transport.send (Message.encode_reject ~reason:"refused"));
+    Ok
+      {
+        client with
+        Transport.send =
+          (fun payload ->
+            offered := get_ok "hello" (Message.decode_hello payload) :: !offered;
+            client.Transport.send payload);
+        close =
+          (fun () ->
+            client.Transport.close ();
+            server.Transport.close ());
+      }
+  in
+  (offered, dial)
+
+let test_rejected_client_never_redials () =
   let exec = executor () in
   let total_blocks = exec.Afex.Executor.total_blocks in
-  let scenarios = sample_scenarios 5 in
-  let against ?wire ~wire_max () =
-    let lb = RM.Loopback.create ~wire_max ~executor:exec () in
-    let rm = RM.create (RM.Loopback.spec ?wire lb) ~total_blocks in
-    List.iter
-      (fun scenario ->
-        let remote = get_ok "run_scenario" (RM.run_scenario rm scenario) in
-        checkb "outcome equal across negotiation" true
-          (outcome_equal remote (exec.Afex.Executor.run_scenario scenario)))
-      scenarios;
-    let s = RM.stats rm in
-    RM.close rm;
-    RM.Loopback.shutdown lb;
-    s
-  in
-  (* A v2 client meeting a v1-only manager: rejected, redials offering
-     v1, counts the downgrade — and the outcomes are unaffected. *)
-  let s = against ~wire_max:1 () in
-  checki "negotiated down to v1" 1 s.RM.wire;
-  checki "the downgrade was counted" 1 s.RM.wire_downgrades;
-  (* A client pinned to v1 against a v2-capable manager: plain v1, no
-     downgrade (nothing was rejected). *)
-  let s = against ~wire:1 ~wire_max:Message.protocol_version_max () in
-  checki "pinned v1 negotiates v1" 1 s.RM.wire;
-  checki "pinning is not a downgrade" 0 s.RM.wire_downgrades;
-  (* Both sides v2: the default. *)
-  let s = against ~wire_max:Message.protocol_version_max () in
-  checki "v2 negotiated by default" 2 s.RM.wire;
-  checki "no downgrade" 0 s.RM.wire_downgrades;
-  checkb "frames were counted" true (s.RM.frames_out > 0 && s.RM.frames_in > 0);
-  checkb "bytes were counted" true (s.RM.bytes_out > 0 && s.RM.bytes_in > 0);
-  (* Spec validation: versions this build cannot speak are caught at
-     construction, not on the wire. *)
-  let dead () = Error (Transport.Io "unused") in
-  List.iter
-    (fun f ->
-      checkb "invalid spec rejected" true
-        (try
-           ignore (f ());
-           false
-         with Invalid_argument _ -> true))
-    [
-      (fun () -> RM.spec ~wire:0 ~name:"x" dead);
-      (fun () -> RM.spec ~wire:(Message.protocol_version_max + 1) ~name:"x" dead);
-      (fun () -> RM.spec ~flush_bytes:0 ~name:"x" dead);
-    ]
+  let offered, dial = rejecting_manager () in
+  let spec = RM.spec ~max_attempts:3 ~backoff_ms:0.1 ~name:"refuser" dial in
+  let rm = RM.create spec ~total_blocks in
+  (match RM.run_scenario rm (List.hd (sample_scenarios 1)) with
+  | Error (RM.Exhausted { attempts; _ }) -> checki "budget respected" 3 attempts
+  | Error e -> Alcotest.failf "expected Exhausted, got %s" (RM.string_of_error e)
+  | Ok _ -> Alcotest.fail "a refusing manager cannot produce an outcome");
+  checki "one dial per attempt, no redial" 3 (List.length !offered);
+  checki "counted as dials" 3 (RM.stats rm).RM.dials;
+  RM.close rm;
+  (* The pipelined client: each refusal is a typed Protocol error and a
+     counted connection failure, until the manager is written off. *)
+  let conn = RM.Pipelined.create spec ~total_blocks in
+  for _ = 1 to 3 do
+    match RM.Pipelined.submit conn ~tag:0 (List.hd (sample_scenarios 1)) with
+    | Error (RM.Protocol _) -> ()
+    | Error e -> Alcotest.failf "expected Protocol, got %s" (RM.string_of_error e)
+    | Ok () -> Alcotest.fail "a refused dial cannot accept a request"
+  done;
+  checkb "written off after max_attempts refusals" true (RM.Pipelined.abandoned conn);
+  RM.Pipelined.close conn;
+  checki "six HELLOs in all" 6 (List.length !offered);
+  checkb "every HELLO offered the one protocol version" true
+    (List.for_all (fun v -> v = 2) !offered)
+
+let test_pool_refused_manager_falls_back () =
+  let offered, dial = rejecting_manager () in
+  let refuser = RM.spec ~max_attempts:2 ~backoff_ms:0.1 ~name:"refuser" dial in
+  let refused, stats = pool_history ~remotes:[ refuser ] ~jobs:0 ~seed:41 () in
+  let local, _ = pool_history ~jobs:1 ~seed:41 () in
+  checkb "history equals local" true (refused = local);
+  checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
+  checkb "tests were executed" true (stats.Pool.executed > 0);
+  checki "every executed test fell back, counted" stats.Pool.executed
+    stats.Pool.remote_fallbacks;
+  checki "one HELLO per attempt, no redial" (2 * stats.Pool.remote_fallbacks)
+    (List.length !offered);
+  checkb "every HELLO offered the one protocol version" true
+    (List.for_all (fun v -> v = 2) !offered)
 
 let test_pipelined_coalescing () =
   (* Several submits under the default 8 KiB flush threshold sit in the
@@ -1066,32 +1117,54 @@ let test_pipelined_coalescing () =
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
-let test_pool_wire_version_matrix () =
-  (* The acceptance matrix in-process: explored histories over v2, v1,
-     and a forced v2->v1 downgrade are all byte-identical to local.
-     (The chaos leg rides [test_pool_chaotic_remote_matches_local],
-     which negotiates v2 by default.) *)
+let test_pool_v2_inflight_matrix () =
+  (* Explored histories over the wire at pipelining depths 1 (blocking
+     client on a proxy domain), 8 and 32 (pipelined event-loop client
+     with coalesced frames), on a clean and on a chaotic wire, are all
+     byte-identical to local. The chaotic blocking client, which waits
+     out every dropped frame, rides [test_pool_chaotic_remote_matches_local]
+     with a local worker beside it. *)
   let exec = executor () in
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
-  let leg ?wire ?wire_max () =
-    let lb = RM.Loopback.create ?wire_max ~executor:exec () in
-    let h, stats =
-      pool_history ~remotes:[ RM.Loopback.spec ?wire lb ] ~jobs:0 ~seed:41 ()
-    in
-    RM.Loopback.shutdown lb;
-    (h, stats)
-  in
-  let v2, s2 = leg () in
-  checkb "v2 history equals local" true (v2 = local);
-  checki "no downgrade when both sides speak v2" 0 s2.Pool.wire_downgrades;
-  let v1, s1 = leg ~wire:1 () in
-  checkb "pinned-v1 history equals local" true (v1 = local);
-  checki "pinning is not a downgrade" 0 s1.Pool.wire_downgrades;
-  let down, s0 = leg ~wire_max:1 () in
-  checkb "downgraded history equals local" true (down = local);
-  checkb "the pool surfaced the downgrade" true (s0.Pool.wire_downgrades >= 1);
-  checkb "the downgraded wire still carried the runs" true
-    (s0.Pool.remote_runs > 0)
+  List.iter
+    (fun (inflight, chaos) ->
+      let lb =
+        RM.Loopback.create ?chaos_to_server:chaos ?chaos_to_client:chaos
+          ~chaos_seed:17
+          ?recv_timeout_ms:(Option.map (fun _ -> 40) chaos)
+          ~executor:exec ()
+      in
+      let pool =
+        Pool.create
+          ~remotes:[ RM.Loopback.spec ~max_attempts:8 ~backoff_ms:0.2 lb ]
+          ~inflight
+          ?request_timeout_ms:(Option.map (fun _ -> 200) chaos)
+          ~jobs:0 (Pool.Pure exec)
+      in
+      let result, stats =
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            Pool.session ~batch_size:16 ~iterations:150 pool
+              (Config.fitness_guided ~seed:41 ())
+              (Apache.space ()))
+      in
+      RM.Loopback.shutdown lb;
+      let leg =
+        Printf.sprintf "inflight %d%s" inflight
+          (if chaos = None then "" else " under chaos")
+      in
+      checkb (leg ^ ": history equals local") true (history result = local);
+      checkb (leg ^ ": runs went over the wire") true (stats.Pool.remote_runs > 0);
+      if chaos = None then
+        checki (leg ^ ": no fallbacks on a clean wire") 0 stats.Pool.remote_fallbacks)
+    [
+      (1, None);
+      (8, None);
+      (32, None);
+      (8, Some mild_chaos);
+      (32, Some mild_chaos);
+    ]
 
 let suite =
   List.map
@@ -1132,7 +1205,8 @@ let suite =
       ("v2: dictionary interning reaches steady state", test_v2_dict_interning);
       ("v2: desync is an error, never a wrong report", test_v2_desync_is_error);
       ("frame decoder at chunk granularities 1-7", test_decoder_chunk_granularity);
-      ("wire negotiation and downgrade", test_wire_negotiation_downgrade);
       ("pipelined requests coalesce into frames", test_pipelined_coalescing);
-      ("pool: wire version matrix matches local", test_pool_wire_version_matrix);
+      ("REJECTed client never redials", test_rejected_client_never_redials);
+      ("pool: refused manager falls back locally", test_pool_refused_manager_falls_back);
+      ("pool: v2 inflight 1/8/32 = local", test_pool_v2_inflight_matrix);
     ]
