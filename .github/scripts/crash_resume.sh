@@ -17,9 +17,6 @@ SEED=${CRASH_SEED:-$$}
 RANDOM=$SEED
 echo "crash_resume: kill schedule seed = $SEED (replay with CRASH_SEED=$SEED)"
 
-# Static window only: byte-identical resume is guaranteed for schedules
-# that do not depend on wall time. The adaptive controller's decisions do
-# (record them with --trace and resume under --replay-trace instead).
 FLAGS=(--target mysql -n 1200 --seed 7 --batch 16 --latency fixed:2 --inflight 8)
 EVERY=40
 

@@ -18,7 +18,6 @@ let experiments ~smoke =
     ("pool", fun () -> Experiments.pool ());
     ("remote", fun () -> Experiments.remote ());
     ("async", fun () -> Experiments.async ());
-    ("adapt", fun () -> Experiments.adapt ());
     ("steal", fun () -> Experiments.steal ~smoke ());
     ("quality", fun () -> Experiments.quality ~smoke ());
     ("replsim", fun () -> Experiments.replsim ~smoke ());

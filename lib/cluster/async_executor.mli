@@ -81,22 +81,17 @@ val create :
   total_blocks:int ->
   unit ->
   t
-(** [request_timeout_ms] (default 10s) is the straggler bound per
-    outstanding request: a manager that holds a test longer forfeits its
-    connection and everything on it. [now_ms] (default
-    {!Afex.Executor.monotonic_ms}) exists so tests can drive the clock.
+(** Each remote connection gets a credit of [inflight]
+    ({!Remote_manager.Pipelined.create}), so no single manager can absorb
+    more than the whole window. [request_timeout_ms] (default 10s) is the
+    straggler bound per outstanding request: a manager that holds a test
+    longer forfeits its connection and everything on it. [now_ms]
+    (default {!Afex.Executor.monotonic_ms}) exists so tests can drive the
+    clock.
     @raise Invalid_argument if [inflight < 1] or the timeout is not
     positive. *)
 
 val inflight : t -> int
-
-val set_inflight : t -> int -> unit
-(** Retune the in-flight window — the adaptive {!Scheduler}'s knob. Takes
-    effect on the next dispatch round; each remote connection's
-    per-connection credit ({!Remote_manager.Pipelined.set_credit}) is
-    retuned to match, so no single manager can absorb more than the new
-    window. Shrinking never preempts a started test.
-    @raise Invalid_argument if the window is not positive. *)
 
 val submit : t -> tag:int -> task -> unit
 (** Enqueue one test under the caller's [tag] and dispatch eagerly if

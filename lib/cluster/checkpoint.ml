@@ -68,11 +68,13 @@ let split2 s =
   | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 module Snapshot = struct
+  type retired = |
+
   type t = {
     meta : (string * string) list;
     batches : int;
     master_state : int64;
-    scheduler : Scheduler.snapshot option;
+    scheduler : retired option;
     explorer : Explorer.Snapshot.t;
   }
 
@@ -83,51 +85,6 @@ module Snapshot = struct
      schedule this code no longer reproduces, so they are rejected by
      the header rather than resumed wrongly. *)
   let header = "afex-checkpoint 3"
-
-  let sched_to_tokens (s : Scheduler.snapshot) =
-    Printf.sprintf "%s %d %d %s %s %d %d %Lx %s" s.Scheduler.s_mode s.s_window
-      s.s_batches
-      (match s.s_prev_throughput with
-      | None -> "-"
-      | Some f -> Printf.sprintf "%h" f)
-      s.s_dir
-      (if s.s_slow_start then 1 else 0)
-      (if s.s_suspect then 1 else 0)
-      s.s_rng_state
-      (match s.s_tel with
-      | None -> "-"
-      | Some tel ->
-          floats_to
-            [
-              tel.Scheduler.utilization; tel.queue_wait_ms; tel.merge_stall_ms;
-              tel.freshness; tel.throughput;
-            ])
-
-  let sched_of_tokens = function
-    | [ mode; window; batches; prev; dir; ss; sus; rng; tel ] ->
-        {
-          Scheduler.s_mode = mode;
-          s_window = nat "scheduler window" window;
-          s_batches = nat "scheduler batches" batches;
-          s_prev_throughput =
-            (if prev = "-" then None else Some (fl "scheduler throughput" prev));
-          s_dir = dir;
-          s_slow_start = nat "slow-start flag" ss = 1;
-          s_suspect = nat "suspect flag" sus = 1;
-          s_rng_state = hex64 "scheduler rng" rng;
-          s_tel =
-            (match floats_of "scheduler telemetry" tel with
-            | [] -> None
-            | [ utilization; queue_wait_ms; merge_stall_ms; freshness; throughput ]
-              ->
-                Some
-                  {
-                    Scheduler.utilization; queue_wait_ms; merge_stall_ms;
-                    freshness; throughput;
-                  }
-            | _ -> bad "scheduler telemetry: expected 5 fields");
-        }
-    | _ -> bad "scheduler line: expected 9 fields"
 
   let record_to_line (c : Test_case.t) =
     Printf.sprintf "r %s %d %s %s %s %d %h %h %h %s %s %s"
@@ -211,9 +168,6 @@ module Snapshot = struct
       (fun (k, v) -> line "m %s %s" (Message.escape k) (Message.escape v))
       t.meta;
     line "g %d %Lx" t.batches t.master_state;
-    (match t.scheduler with
-    | Some s -> line "S %s" (sched_to_tokens s)
-    | None -> ());
     let x = t.explorer in
     line "x %Lx %d %d %d %d %d %d %h %d" x.Explorer.Snapshot.rng_state x.issued
       x.iterations x.failed x.crashed x.hung x.triggered x.simulated_ms
@@ -257,7 +211,6 @@ module Snapshot = struct
   type partial = {
     mutable p_meta_rev : (string * string) list;
     mutable p_globals : (int * int64) option;
-    mutable p_sched : Scheduler.snapshot option;
     mutable p_x : (int64 * int * int * int * int * int * int * float * int) option;
     mutable p_covered : int list option;
     mutable p_records_rev : Test_case.t list;
@@ -289,9 +242,10 @@ module Snapshot = struct
     | "g" :: [ batches; master ] ->
         if p.p_globals <> None then bad "duplicate globals line";
         p.p_globals <- Some (nat "batches" batches, hex64 "master rng" master)
-    | "S" :: rest ->
-        if p.p_sched <> None then bad "duplicate scheduler line";
-        p.p_sched <- Some (sched_of_tokens rest)
+    | "S" :: _ ->
+        bad
+          "scheduler line: written by the removed adaptive window \
+           controller, whose state cannot be resumed"
     | "x" :: [ rng; issued; iter; failed; crashed; hung; trig; sim; cursor ] ->
         if p.p_x <> None then bad "duplicate explorer line";
         p.p_x <-
@@ -382,7 +336,7 @@ module Snapshot = struct
     | first :: rest when first = header ->
         let p =
           {
-            p_meta_rev = []; p_globals = None; p_sched = None; p_x = None;
+            p_meta_rev = []; p_globals = None; p_x = None;
             p_covered = None; p_records_rev = []; p_queue = None;
             p_seeds_rev = []; p_sens_rev = []; p_frames_rev = []; p_fb_rev = [];
             p_fe_rev = []; p_fp = None; p_fi = None; p_ce_rev = []; p_cp = None;
@@ -400,7 +354,7 @@ module Snapshot = struct
           meta = List.rev p.p_meta_rev;
           batches;
           master_state;
-          scheduler = p.p_sched;
+          scheduler = None;
           explorer =
             {
               Explorer.Snapshot.rng_state; issued; iterations; failed; crashed;

@@ -3,7 +3,7 @@
 
     A checkpoint directory holds two files:
 
-    - [snapshot.afex] — the full explorer/scheduler/pool state at a
+    - [snapshot.afex] — the full explorer and pool state at a
       quiescent reorder-buffer watermark (released = submitted), written
       atomically (temp file + [rename]) in a versioned, checksummed,
       line-oriented codec built from the {!Message} field codecs and the
@@ -26,14 +26,20 @@
     flushed to the OS on every append but not fsynced. *)
 
 module Snapshot : sig
+  type retired = |
+  (** Uninhabited: the state of the deleted adaptive window controller. *)
+
   type t = {
     meta : (string * string) list;
         (** campaign identity: every flag that shapes the search, checked
             on resume so a snapshot cannot silently continue under a
             different configuration *)
-    batches : int;  (** completed scheduler rounds *)
+    batches : int;  (** completed in-flight windows *)
     master_state : int64;  (** the pool's master RNG position *)
-    scheduler : Scheduler.snapshot option;
+    scheduler : retired option;
+        (** always [None]; kept only because [perfbench/traced.ml]
+            still builds this record, and to be deleted with the next
+            change to the benchmark *)
     explorer : Afex.Explorer.Snapshot.t;
   }
 
@@ -44,7 +50,9 @@ module Snapshot : sig
 
   val decode : string -> (t, string) result
   (** Total inverse of {!encode}: truncation, bit flips, unknown
-      versions and structural damage all return [Error], never raise. *)
+      versions and structural damage all return [Error], never raise. A
+      snapshot carrying an adaptive-controller line ([S]) is refused
+      with an [Error] that says so. *)
 end
 
 type hooks = {

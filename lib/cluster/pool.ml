@@ -88,6 +88,9 @@ type stats = {
   batches : int;
   remote_runs : int;
   remote_fallbacks : int;
+  gen_ms : float;
+  wait_ms : float;
+  merge_ms : float;
   wall_ms : float;
 }
 
@@ -109,9 +112,8 @@ type meta = {
   m_worker : bool;  (* occupies a runtime worker until it completes *)
 }
 
-let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
-    ?(batch_size = 32) ?(memoize = true) ?(sync_every = 512) ~iterations t
-    config sub =
+let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
+    ?(sync_every = 512) ~iterations t config sub =
   if batch_size < 1 then invalid_arg "Pool.session: batch_size must be positive";
   if sync_every < 1 then invalid_arg "Pool.session: sync_every must be positive";
   (match (stop, checkpoint) with
@@ -144,10 +146,11 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     | None -> Rng.create config.Afex.Config.seed
     | Some snap -> Rng.of_state snap.Checkpoint.Snapshot.master_state
   in
-  (* Completed scheduler rounds, absolute across crashes. *)
-  let rounds =
-    ref (match resume_snap with None -> 0 | Some s -> s.Checkpoint.Snapshot.batches)
+  (* Completed windows, absolute across crashes. *)
+  let windows0 =
+    match resume_snap with None -> 0 | Some s -> s.Checkpoint.Snapshot.batches
   in
+  let windows = ref windows0 in
   let write_snapshot () =
     match checkpoint with
     | None -> ()
@@ -156,9 +159,9 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
           ~iterations:(Afex.Explorer.iterations explorer)
           {
             Checkpoint.Snapshot.meta = Checkpoint.meta cp;
-            batches = !rounds;
+            batches = !windows;
             master_state = Rng.state master;
-            scheduler = Option.map Scheduler.snapshot scheduler;
+            scheduler = None;
             explorer = Afex.Explorer.capture explorer;
           }
   in
@@ -170,8 +173,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
   | Some _ | None -> ());
   let cache : (string, Outcome.t) Hashtbl.t = Hashtbl.create 256 in
   let memoize =
-    memoize
-    && (match t.executor with Pure _ | Async _ -> true | Seeded _ -> false)
+    match t.executor with Pure _ | Async _ -> true | Seeded _ -> false
   in
   let executed = ref 0 and cache_hits = ref 0 in
   let remote_runs0 = Runtime.remote_runs t.runtime
@@ -192,8 +194,8 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
      [released] are absolute iteration counts; the driver submits while
      the window has room and otherwise releases the head of line, so the
      interleaving of Explorer.next and Explorer.report — and with it the
-     whole explored history — is a pure function of (seed, window
-     sequence, iterations), never of completion timing, [jobs] or
+     whole explored history — is a pure function of (seed, [batch_size],
+     iterations), never of completion timing, [jobs] or
      [inflight]. *)
   let base = Afex.Explorer.iterations explorer in
   let submitted = ref base and released = ref base in
@@ -214,37 +216,16 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
      refuse with candidates in flight) never perturb the explored
      history relative to an uncheckpointed run. *)
   let next_sync = ref (((base / sync_every) + 1) * sync_every) in
-  (* Scheduler rounds: one controller period per [window] releases. *)
-  let window () =
-    match scheduler with Some s -> Scheduler.window s | None -> batch_size
+  (* A window completes every [batch_size] releases, or earlier at a
+     sync watermark; only the count is kept. *)
+  let window_releases = ref 0 in
+  let finish_window () =
+    incr windows;
+    window_releases := 0
   in
-  let round_window = ref (window ()) in
-  let round_releases = ref 0 and round_executed = ref 0 in
-  let gen_acc = ref 0.0 and stall_acc = ref 0.0 and merge_acc = ref 0.0 in
-  let observed_rounds = ref 0 in
-  (match scheduler with
-  | Some s -> Runtime.set_window t.runtime (Scheduler.window s)
-  | None -> ());
-  let finish_round () =
-    incr observed_rounds;
-    incr rounds;
-    (match scheduler with
-    | Some s ->
-        (* exec_ms is the head-of-line wait: the only time the explorer
-           spent blocked on workers. It doubles as the merge stall — the
-           residual barrier cost of in-order release. *)
-        Scheduler.observe s ~stall_ms:!stall_acc ~gen_ms:!gen_acc
-          ~exec_ms:!stall_acc ~merge_ms:!merge_acc ~executed:!round_executed
-          ~merged:!round_releases;
-        Runtime.set_window t.runtime (Scheduler.window s)
-    | None -> ());
-    round_releases := 0;
-    round_executed := 0;
-    gen_acc := 0.0;
-    stall_acc := 0.0;
-    merge_acc := 0.0;
-    round_window := window ()
-  in
+  (* Session phase totals: generation, head-of-line wait (the only time
+     the explorer is blocked on workers) and merge. *)
+  let gen_ms = ref 0.0 and wait_ms = ref 0.0 and merge_ms = ref 0.0 in
   let replay_pending () =
     match checkpoint with Some cp -> Checkpoint.replay_pending cp | None -> false
   in
@@ -374,7 +355,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
                   (fun () -> Afex.Executor.run_job_blocking (start ()))
                   start);
             submitted := abs));
-    gen_acc := !gen_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
+    gen_ms := !gen_ms +. (1000.0 *. (Unix.gettimeofday () -. t0))
   in
   (* Release exactly the next submission, blocking on the runtime while
      the head of line is outstanding (completions for later submissions
@@ -397,7 +378,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
               failwith "Pool: a submitted task produced no completion";
             absorb (Runtime.poll t.runtime ~block:true)
           done;
-          stall_acc := !stall_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
+          wait_ms := !wait_ms +. (1000.0 *. (Unix.gettimeofday () -. t0))
         end);
     let slot =
       match Runtime.Reorder.pop reorder with Some s -> s | None -> assert false
@@ -416,7 +397,6 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     in
     if m.m_worker then begin
       incr executed;
-      incr round_executed;
       match m.m_skey with
       | Some key -> Hashtbl.remove inflight_keys key
       | None -> ()
@@ -441,20 +421,20 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
         if Hashtbl.length matched >= s.Afex.Session.count && !stop_iteration = None
         then stop_iteration := Some (Afex.Explorer.iterations explorer)
     | Some _ | None -> ());
-    merge_acc := !merge_acc +. (1000.0 *. (Unix.gettimeofday () -. t0));
+    merge_ms := !merge_ms +. (1000.0 *. (Unix.gettimeofday () -. t0));
     released := !released + 1;
-    incr round_releases;
-    if !round_releases >= !round_window then finish_round ()
+    incr window_releases;
+    if !window_releases >= batch_size then finish_window ()
   in
   let rec drive () =
     if !released >= !next_sync then begin
       (* Quiescent sync watermark: submissions were capped at the
          boundary, so everything before it has released. Close the
-         partial round — a resumed campaign restarts its round
-         accumulators here, so round boundaries must coincide with sync
-         points for both to see the same window sequence — and write the
-         cadence snapshot if one is due. *)
-      if !round_releases > 0 then finish_round ();
+         partial window — a resumed campaign restarts its window count
+         here, so window boundaries must coincide with sync points for
+         both to count the same windows — and write the cadence snapshot
+         if one is due. *)
+      if !window_releases > 0 then finish_window ();
       (match checkpoint with
       | Some cp
         when Checkpoint.due cp ~iterations:(Afex.Explorer.iterations explorer)
@@ -466,7 +446,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     end
     else if
       can_submit ()
-      && !submitted - !released < !round_window
+      && !submitted - !released < batch_size
       && !submitted < !next_sync
     then begin
       submit_one ();
@@ -480,12 +460,12 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
       (* Submission was refused with nothing pending: the sync branch
          above fires first when the boundary is the reason, so only a
          zero-width window could land here — kept impossible by the
-         schedulers' positive-window invariant. *)
+         [batch_size >= 1] check. *)
       assert false
     end
   in
   drive ();
-  if !round_releases > 0 then finish_round ();
+  if !window_releases > 0 then finish_window ();
   (* Final snapshot: the completed campaign is itself a resumable (and
      re-resumable) state, and the journal is left empty. *)
   (match checkpoint with Some _ -> write_snapshot () | None -> ());
@@ -498,18 +478,21 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     {
       executed = !executed;
       cache_hits = !cache_hits;
-      batches = !observed_rounds;
+      batches = !windows - windows0;
       remote_runs = Runtime.remote_runs t.runtime - remote_runs0;
       remote_fallbacks = Runtime.remote_fallbacks t.runtime - remote_fallbacks0;
+      gen_ms = !gen_ms;
+      wait_ms = !wait_ms;
+      merge_ms = !merge_ms;
       wall_ms = 1000.0 *. (Unix.gettimeofday () -. started);
     } )
 
-let run ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
-    ?memoize ?sync_every ?remotes ?inflight ?request_timeout_ms ~jobs
-    ~iterations config sub executor =
+let run ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size ?sync_every
+    ?remotes ?inflight ?request_timeout_ms ~jobs ~iterations config sub
+    executor =
   let t = create ?remotes ?inflight ?request_timeout_ms ~jobs executor in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
-        ?memoize ?sync_every ~iterations t config sub)
+      session ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
+        ?sync_every ~iterations t config sub)

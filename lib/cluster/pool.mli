@@ -10,7 +10,7 @@
     test delays only its own release, not a whole batch. Because
     generation and merging both happen sequentially on the explorer
     thread under a schedule that is a pure function of the seed, the
-    window sequence and the iteration count, the explored-point history
+    window and the iteration count, the explored-point history
     {e never} depends on [jobs], [inflight], completion order or how the
     OS schedules domains. A campaign is therefore replayable at any
     parallelism.
@@ -97,22 +97,34 @@ val shutdown : t -> unit
 type stats = {
   executed : int;  (** scenarios actually run on a worker *)
   cache_hits : int;  (** outcomes served from the memo cache *)
-  batches : int;  (** scheduler rounds observed this session *)
+  batches : int;
+      (** windows completed this session: one per [batch_size] releases,
+          plus one per sync watermark or session end that closes a
+          partial window *)
   remote_runs : int;  (** scenarios whose outcome came over the wire *)
   remote_fallbacks : int;
       (** remote attempts that failed and were re-run locally — a
           manager that refuses the handshake included *)
-  wall_ms : float;  (** real elapsed time of the session loop *)
+  gen_ms : float;
+      (** explorer time spent generating candidates (and replaying
+          journaled outcomes), session total *)
+  wait_ms : float;
+      (** explorer time blocked on the reorder buffer's head of line —
+          the only time it waits on workers — session total *)
+  merge_ms : float;
+      (** explorer time merging released outcomes (journal append,
+          cache, report), session total *)
+  wall_ms : float;
+      (** real elapsed time of the session loop; the three phase totals
+          are disjoint spans inside it *)
 }
 
 val session :
-  ?scheduler:Scheduler.t ->
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
   ?time_budget_ms:float ->
   ?checkpoint:Checkpoint.t ->
   ?batch_size:int ->
-  ?memoize:bool ->
   ?sync_every:int ->
   iterations:int ->
   t ->
@@ -121,36 +133,26 @@ val session :
   Afex.Session.result * stats
 (** Parallel counterpart of {!Afex.Session.run} on an existing pool.
 
-    [batch_size] (default 32) is the in-flight window: the explorer
-    submits a candidate whenever fewer than that many are outstanding,
-    and otherwise merges the oldest outstanding outcome — generation
-    overlaps execution, with no barrier between them. [stop] targets and
+    [batch_size] (default 32) is the in-flight window, fixed for the
+    session: the explorer submits a candidate whenever fewer than that
+    many are outstanding, and otherwise merges the oldest outstanding
+    outcome — generation overlaps execution, with no barrier between
+    them. [stop] targets and
     [time_budget_ms] are checked at submission time against the merged
     prefix (plus per-case during the merge for [stop_iteration]), so
     they too are [jobs]-independent. With [batch_size = 1] the schedule
     degenerates to exactly {!Afex.Session.run}'s candidate stream.
 
-    [memoize] (default [true]) enables the outcome cache for [Pure]
-    executors; it is ignored for [Seeded] ones.
+    [Pure] and [Async] executors are served through the outcome cache;
+    [Seeded] ones never are.
 
     [sync_every] (default 512) spaces the schedule's quiescent sync
     watermarks: submissions never cross a multiple of [sync_every] until
     everything before it has merged, draining the window there. The
     drain is part of the schedule whether or not a checkpoint is armed —
     it is where cadence snapshots are written — so the explored history
-    is a function of (seed, window sequence, [sync_every], iterations)
+    is a function of (seed, [batch_size], [sync_every], iterations)
     and nothing else.
-
-    [scheduler] hands window control (and its telemetry) to a
-    {!Scheduler}: each round of [Scheduler.window] merges uses the
-    window the controller chose, phase timings are fed back through
-    [Scheduler.observe] (with the reorder buffer's head-of-line wait as
-    the stall measurement), and in event-loop mode the executor's
-    [inflight] (plus each remote connection's credit) is retuned to the
-    window at every round boundary. Since outcomes still merge in
-    submission order, the explored history depends only on the seed and
-    the window {e sequence} — which the scheduler's trace records, so an
-    adaptive run replays bit-identically via [Scheduler.Replay].
 
     [checkpoint] arms crash-safe campaign persistence: a fresh
     {!Checkpoint.start} handle writes a base snapshot before any work,
@@ -168,13 +170,11 @@ val session :
     or journal contradicts the regenerated campaign. *)
 
 val run :
-  ?scheduler:Scheduler.t ->
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
   ?time_budget_ms:float ->
   ?checkpoint:Checkpoint.t ->
   ?batch_size:int ->
-  ?memoize:bool ->
   ?sync_every:int ->
   ?remotes:Remote_manager.spec list ->
   ?inflight:int ->

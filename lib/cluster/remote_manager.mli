@@ -118,8 +118,11 @@ val close : t -> unit
 module Pipelined : sig
   type conn
 
-  val create : spec -> total_blocks:int -> conn
-  (** No I/O; the first {!submit} dials. *)
+  val create : spec -> total_blocks:int -> credit:int -> conn
+  (** No I/O; the first {!submit} dials. [credit] is the per-connection
+      in-flight budget: how many requests may ride this connection
+      concurrently (the event loop passes its [inflight]).
+      @raise Invalid_argument if [credit < 1]. *)
 
   val submit : conn -> tag:int -> Afex_faultspace.Scenario.t -> (unit, error) result
   (** Send one request without waiting for its response. [tag] is the
@@ -160,15 +163,6 @@ module Pipelined : sig
 
   val pending : conn -> int
   (** Requests on the wire awaiting a response. *)
-
-  val credit : conn -> int
-  (** Per-connection in-flight budget: how many requests may ride this
-      connection concurrently. Starts effectively unbounded ([max_int]);
-      the adaptive scheduler retunes it with the window
-      ([Async_executor.set_inflight]). *)
-
-  val set_credit : conn -> int -> unit
-  (** @raise Invalid_argument if the credit is not positive. *)
 
   val has_credit : conn -> bool
   (** [pending < credit]: one more {!submit} is within budget. Callers

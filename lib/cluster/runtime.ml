@@ -369,12 +369,6 @@ let drain t =
   in
   go []
 
-let set_window t w =
-  if w < 1 then invalid_arg "Runtime.set_window: window must be positive";
-  match t.backend with
-  | Event_loop a -> Async_executor.set_inflight a w
-  | Inline _ | Domains _ -> ()
-
 (* ---- stats -------------------------------------------------------- *)
 
 let remote_runs t =

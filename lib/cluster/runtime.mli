@@ -4,9 +4,9 @@
 
     The batch-barrier pool alternated generation and execution: the
     explorer generated a whole window, blocked until every slot came
-    back, then merged. The scheduler telemetry from the adaptive-window
-    work showed that barrier is a first-order cost — [merge_stall_ms]
-    comparable to [exec_ms] at large windows. This module removes it:
+    back, then merged. Per-phase timings showed that barrier is a
+    first-order cost — merge stall comparable to execution wait at large
+    windows. This module removes it:
 
     - {!Deque}: a Chase–Lev-style work-stealing deque per worker. The
       explorer (the single producer) pushes tasks round-robin; a worker
@@ -21,8 +21,8 @@
     - {!t}: the capability-based runtime handle. Three backends —
       inline (execute on the caller), work-stealing Domains (local
       workers plus remote-manager proxies), and the single-domain async
-      event loop — behind one interface, so {!Pool}, {!Scheduler},
-      {!Checkpoint} and the future multi-tenant coordinator schedule
+      event loop — behind one interface, so {!Pool}, {!Checkpoint} and
+      the future multi-tenant coordinator schedule
       heterogeneous workers without knowing which backend runs them. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
@@ -158,13 +158,6 @@ val drain : t -> (int * (Afex_injector.Outcome.t, exn) result) list
 (** Block until every outstanding task completes; the tail of
     completions in completion order. The quiescent point the checkpoint
     layer snapshots at. *)
-
-val set_window : t -> int -> unit
-(** Retune the backend's concurrency to the scheduler's window: the
-    event loop adjusts [inflight] (and per-connection credit); the other
-    backends take their concurrency from the submission window itself
-    and ignore it. @raise Invalid_argument if the window is not
-    positive. *)
 
 val async : t -> Async_executor.t option
 (** The wrapped event loop, when the backend is one. *)

@@ -11,7 +11,6 @@ let create seed = { state = mix (Int64.of_int seed) }
 let copy t = { state = t.state }
 let state t = t.state
 let of_state state = { state }
-let set_state t state = t.state <- state
 
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -356,7 +356,10 @@ let test_pipelined_out_of_order_responses () =
           Ok client_end
         end)
   in
-  let conn = RM.Pipelined.create spec ~total_blocks:exec.Afex.Executor.total_blocks in
+  let conn =
+    RM.Pipelined.create spec ~total_blocks:exec.Afex.Executor.total_blocks
+      ~credit:8
+  in
   let scenarios = Array.of_list (sample_scenarios 3) in
   Array.iteri
     (fun tag scenario ->
@@ -515,6 +518,7 @@ let test_pipelined_fail_cancels_awaiting () =
   let spec = RM.Loopback.spec ~max_attempts:2 ~backoff_ms:5.0 lb in
   let conn =
     RM.Pipelined.create spec ~total_blocks:exec.Afex.Executor.total_blocks
+      ~credit:8
   in
   let scenario = List.hd (sample_scenarios 1) in
   (match RM.Pipelined.submit conn ~tag:7 scenario with
@@ -539,6 +543,48 @@ let test_pipelined_fail_cancels_awaiting () =
   checkb "written off after max_attempts" true (RM.Pipelined.abandoned conn);
   checkb "an abandoned manager is never dispatched to" false
     (RM.Pipelined.dispatchable conn);
+  RM.Pipelined.close conn;
+  RM.Loopback.shutdown lb
+
+let test_pipelined_credit_fixed_at_creation () =
+  (* The per-connection credit is set once, at creation: it must be
+     positive, it gates has_credit, and reaching it flushes the
+     coalescing buffer without waiting for an explicit flush. *)
+  let exec = executor () in
+  let total_blocks = exec.Afex.Executor.total_blocks in
+  let lb = RM.Loopback.create ~executor:exec () in
+  let spec = RM.Loopback.spec lb in
+  (match RM.Pipelined.create spec ~total_blocks ~credit:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "credit 0 should be rejected");
+  let conn = RM.Pipelined.create spec ~total_blocks ~credit:2 in
+  checkb "credit available before any request" true (RM.Pipelined.has_credit conn);
+  let submit tag scenario =
+    match RM.Pipelined.submit conn ~tag scenario with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e)
+  in
+  (match sample_scenarios 2 with
+  | [ a; b ] ->
+      submit 0 a;
+      checkb "one of two outstanding leaves credit" true
+        (RM.Pipelined.has_credit conn);
+      checkb "below the credit the request coalesces" true
+        (RM.Pipelined.buffered conn > 0);
+      submit 1 b
+  | _ -> assert false);
+  checkb "two outstanding exhaust a credit of two" false
+    (RM.Pipelined.has_credit conn);
+  checki "reaching the credit flushed the frame" 0 (RM.Pipelined.buffered conn);
+  let answered = ref 0 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while !answered < 2 && Unix.gettimeofday () < deadline do
+    match RM.Pipelined.drain conn with
+    | [] -> Unix.sleepf 0.002
+    | rs -> answered := !answered + List.length rs
+  done;
+  checki "both answered with no explicit flush" 2 !answered;
+  checkb "credit returns as replies arrive" true (RM.Pipelined.has_credit conn);
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
@@ -672,6 +718,8 @@ let suite =
     Alcotest.test_case "chaos under pipelining" `Quick test_chaos_under_pipelining;
     Alcotest.test_case "pipelined fail cancels awaiting" `Quick
       test_pipelined_fail_cancels_awaiting;
+    Alcotest.test_case "pipelined credit fixed at creation" `Quick
+      test_pipelined_credit_fixed_at_creation;
     Alcotest.test_case "zero-delay async jobs" `Quick test_async_zero_delay_jobs;
     Alcotest.test_case "fd-backed jobs overlap" `Quick test_fd_backed_jobs_overlap;
   ]

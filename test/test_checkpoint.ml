@@ -4,7 +4,6 @@
    what the CI kill -9 harness proves on the real binary. *)
 
 module Checkpoint = Afex_cluster.Checkpoint
-module Scheduler = Afex_cluster.Scheduler
 module Pool = Afex_cluster.Pool
 module Config = Afex.Config
 module Explorer = Afex.Explorer
@@ -78,19 +77,11 @@ let arb_snapshot =
         | Some p -> ignore (Explorer.execute ex p)
         | None -> ()
       done;
-      let scheduler =
-        if Rng.bernoulli rng 0.5 then
-          Some
-            (Scheduler.snapshot
-               (Scheduler.create ~window_min:1 ~window_max:64 ~initial:8
-                  ~seed:(Rng.int rng 1000) Scheduler.Adaptive))
-        else None
-      in
       {
         Checkpoint.Snapshot.meta;
         batches = Rng.int rng 50;
         master_state = Rng.state (Rng.create (Rng.int rng 10_000));
-        scheduler;
+        scheduler = None;
         explorer = Explorer.capture ex;
       })
 
@@ -116,6 +107,30 @@ let test_truncation_rejected () =
       match Checkpoint.Snapshot.decode (String.sub bytes 0 cut) with
       | Error _ -> true
       | Ok _ -> false)
+
+let test_scheduler_line_rejected () =
+  (* A well-formed, correctly checksummed snapshot that carries the state
+     line of the deleted adaptive window controller is refused, and the
+     refusal says why. *)
+  let bytes = Lazy.force sample_bytes in
+  let trailer = String.rindex_from bytes (String.length bytes - 2) '\n' in
+  let body =
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           if String.length l > 1 && String.sub l 0 2 = "g " then
+             [ l; "S adaptive 32 4 - up 1 0 1a2b -" ]
+           else [ l ])
+         (String.split_on_char '\n' (String.sub bytes 0 (trailer + 1))))
+  in
+  let doctored =
+    body ^ Printf.sprintf "k %08x\n" (Afex_cluster.Transport.checksum body)
+  in
+  match Checkpoint.Snapshot.decode doctored with
+  | Ok _ -> Alcotest.fail "a snapshot with a scheduler line must be refused"
+  | Error m ->
+      checkb (Printf.sprintf "error %S names the adaptive controller" m) true
+        (contains m "adaptive window controller")
 
 let test_bitflip_rejected () =
   let bytes = Lazy.force sample_bytes in
@@ -418,6 +433,7 @@ let suite =
     ("snapshot codec round-trips bit-identically", `Quick, test_codec_roundtrip);
     ("truncated snapshot rejected cleanly", `Quick, test_truncation_rejected);
     ("bit-flipped snapshot rejected cleanly", `Quick, test_bitflip_rejected);
+    ("adaptive scheduler line refused", `Quick, test_scheduler_line_rejected);
     ("capture/restore continues every strategy", `Quick, test_capture_restore_continues);
     ("start refuses an existing checkpoint", `Quick, test_start_refuses_existing);
     ("resume refuses an empty directory", `Quick, test_resume_refuses_empty);

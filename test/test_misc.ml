@@ -143,6 +143,38 @@ let test_describe_quotes_config_cutoff () =
   let want = Printf.sprintf "the default %g keeps" Config.default_rarity.Config.cutoff in
   checkb (Printf.sprintf "stderr quotes %S" want) true (contains err want)
 
+let test_pool_line_counts_executions () =
+  (* The `pool:` line's throughput counts distinct executions, not cache
+     hits: executed + cache hits = iterations, and the rate is labelled
+     executed/s. Coreutils' small space guarantees repeats. *)
+  let cli =
+    Filename.concat (Filename.concat Filename.parent_dir_name "bin") "afex_cli.exe"
+  in
+  let out_file = Filename.temp_file "explore" ".out" in
+  let cmd =
+    Filename.quote_command cli ~stdout:out_file ~stderr:Filename.null
+      [ "explore"; "--target"; "coreutils"; "--strategy"; "random"; "-n"; "300";
+        "--jobs"; "2" ]
+  in
+  checki "explore exits 0" 0 (Sys.command cmd);
+  let out = In_channel.with_open_bin out_file In_channel.input_all in
+  Sys.remove out_file;
+  match
+    List.find_opt
+      (fun l -> String.length l > 5 && String.sub l 0 5 = "pool:")
+      (String.split_on_char '\n' out)
+  with
+  | None -> Alcotest.fail "no pool: line"
+  | Some line ->
+      let executed, hits =
+        Scanf.sscanf line "pool: %d jobs, %d batches, %d executed, %d cache hits"
+          (fun _ _ e h -> (e, h))
+      in
+      checkb "some tests were cache hits" true (hits > 0);
+      checki "executed + cache hits = 300" 300 (executed + hits);
+      checkb (Printf.sprintf "%S says executed/s" line) true
+        (contains line "executed/s")
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -161,4 +193,5 @@ let suite =
       ("explorer accessors", test_explorer_accessors);
       ("tracer fig4 shape", test_tracer_fig4_shape);
       ("describe quotes the Config rarity cutoff", test_describe_quotes_config_cutoff);
+      ("explore pool line counts executions", test_pool_line_counts_executions);
     ]

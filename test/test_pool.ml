@@ -93,15 +93,34 @@ let test_cache_hit_count_jobs_independent () =
   in
   checkb "cache accounting jobs-independent" true (stats_for 1 = stats_for 4)
 
-let test_memoize_off_executes_everything () =
-  let _, stats =
-    Pool.run ~jobs:2 ~memoize:false ~iterations:300
-      (Config.random_search ~seed:7 ())
-      (Coreutils.space ())
-      (Pool.Pure (Afex.Executor.of_target (Coreutils.target ())))
+(* --- phase totals --- *)
+
+let test_phase_totals_within_wall () =
+  (* Generation, head-of-line wait and merge are disjoint spans of the
+     session loop on every backend: inline, Domain workers, event loop. *)
+  let config = Config.fitness_guided ~seed:13 () in
+  let run ?inflight jobs =
+    snd
+      (Pool.run ?inflight ~batch_size:8 ~jobs ~iterations:200 config
+         (Apache.space ()) (Pool.Pure (executor ())))
   in
-  checki "no cache" 0 stats.Pool.cache_hits;
-  checki "all executed" 300 stats.Pool.executed
+  List.iter
+    (fun (backend, (s : Pool.stats)) ->
+      let phases =
+        [ ("gen_ms", s.Pool.gen_ms); ("wait_ms", s.Pool.wait_ms);
+          ("merge_ms", s.Pool.merge_ms) ]
+      in
+      List.iter
+        (fun (name, ms) ->
+          checkb (Printf.sprintf "%s: %s = %g >= 0" backend name ms) true (ms >= 0.0))
+        phases;
+      checkb (backend ^ ": generation measured") true (s.Pool.gen_ms > 0.0);
+      checkb (backend ^ ": merge measured") true (s.Pool.merge_ms > 0.0);
+      let sum = s.Pool.gen_ms +. s.Pool.wait_ms +. s.Pool.merge_ms in
+      checkb
+        (Printf.sprintf "%s: phases %g <= wall %g" backend sum s.Pool.wall_ms)
+        true (sum <= s.Pool.wall_ms))
+    [ ("inline", run 1); ("domains", run 2); ("event loop", run ~inflight:4 1) ]
 
 (* --- oversubscription and edge cases --- *)
 
@@ -192,11 +211,11 @@ let suite =
       ("random search deterministic", test_random_search_deterministic);
       ("cache hits on small space", test_cache_hits_on_small_space);
       ("cache accounting jobs-independent", test_cache_hit_count_jobs_independent);
-      ("memoize off executes everything", test_memoize_off_executes_everything);
       ("more jobs than candidates", test_more_jobs_than_candidates);
       ("exhaustive stops at cardinality", test_exhaustive_stops_at_cardinality);
       ("stop target respected", test_stop_target_respected);
       ("rejects bad arguments", test_rejects_bad_arguments);
       ("shutdown idempotent", test_shutdown_idempotent);
       ("seeded executor replayable", test_seeded_replayable_across_jobs);
+      ("phase totals within wall", test_phase_totals_within_wall);
     ]

@@ -1045,7 +1045,7 @@ let test_rejected_client_never_redials () =
   RM.close rm;
   (* The pipelined client: each refusal is a typed Protocol error and a
      counted connection failure, until the manager is written off. *)
-  let conn = RM.Pipelined.create spec ~total_blocks in
+  let conn = RM.Pipelined.create spec ~total_blocks ~credit:8 in
   for _ = 1 to 3 do
     match RM.Pipelined.submit conn ~tag:0 (List.hd (sample_scenarios 1)) with
     | Error (RM.Protocol _) -> ()
@@ -1074,13 +1074,13 @@ let test_pool_refused_manager_falls_back () =
     (List.for_all (fun v -> v = 2) !offered)
 
 let test_pipelined_coalescing () =
-  (* Several submits under the default 8 KiB flush threshold sit in the
-     coalescing buffer, then travel as ONE frame: handshake + batch =
-     exactly two frames out, against six requests. *)
+  (* Six submits, under both the 8 KiB flush threshold and the credit of
+     eight, sit in the coalescing buffer, then travel as ONE frame:
+     handshake + batch = exactly two frames out, against six requests. *)
   let exec = executor () in
   let total_blocks = exec.Afex.Executor.total_blocks in
   let lb = RM.Loopback.create ~executor:exec () in
-  let conn = RM.Pipelined.create (RM.Loopback.spec lb) ~total_blocks in
+  let conn = RM.Pipelined.create (RM.Loopback.spec lb) ~total_blocks ~credit:8 in
   let scenarios = Array.of_list (sample_scenarios 6) in
   Array.iteri
     (fun i s ->
