@@ -1110,12 +1110,13 @@ let perf ?(iterations = 600) () =
   note "and sub-interval axes (loss windows) mutate like any other attribute."
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing runtime: the unbounded window vs every static choice  *)
+(* Barrierless window on the event loop: unbounded vs every static one *)
 (* ------------------------------------------------------------------ *)
 
 let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
   section
-    "Work-stealing runtime: window=inf vs static windows (BENCH_steal.json)";
+    "Barrierless window (event loop): window=inf vs static windows \
+     (BENCH_steal.json)";
   let iterations =
     match iterations with Some n -> n | None -> if smoke then 1200 else 5000
   in

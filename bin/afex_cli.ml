@@ -357,7 +357,7 @@ let explore_cmd =
   let batch_arg =
     let doc =
       "Candidates kept in flight per dispatch round. $(b,0) removes the \
-       bound entirely: the work-stealing runtime keeps submitting until \
+       bound entirely: the runtime keeps submitting until \
        the next sync watermark, so only worker capacity limits overlap."
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)

@@ -43,8 +43,9 @@ let () =
   RM.Loopback.shutdown lb2;
 
   (* A hostile wire: frames dropped, duplicated and bit-flipped. The
-     dispatcher retries, reconnects, and requeues locally — outcomes and
-     history must be untouched. *)
+     proxy re-runs every failed or timed-out test locally, redials after
+     a backoff, and writes the manager off after 8 consecutive failures
+     — outcomes and history must be untouched. *)
   let chaos =
     { Transport.drop = 0.2; duplicate = 0.1; truncate = 0.05; bitflip = 0.1; garbage = 0.1 }
   in
@@ -55,7 +56,8 @@ let () =
   let chaotic, chaos_stats =
     Pool.run
       ~remotes:[ RM.Loopback.spec ~max_attempts:8 ~backoff_ms:0.2 lb3 ]
-      ~jobs:1 ~iterations config sub (Pool.Pure executor)
+      ~request_timeout_ms:200 ~jobs:1 ~iterations config sub
+      (Pool.Pure executor)
   in
   RM.Loopback.shutdown lb3;
 

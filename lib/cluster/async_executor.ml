@@ -194,8 +194,6 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
     n_wakeups = 0;
   }
 
-let inflight t = t.inflight
-
 let stats t =
   {
     local_runs = t.n_local;
@@ -348,10 +346,13 @@ let dispatch t =
         if t.active > t.max_seen then t.max_seen <- t.active;
         match task.scenario with
         | Some scenario when Array.length t.remotes > 0 ->
+            (* Decided before the attempt, so the test whose failure
+               writes off the last manager still counts. *)
+            let live =
+              Array.exists (fun r -> not (Pipelined.abandoned r.conn)) t.remotes
+            in
             if not (try_remote t tag scenario) then begin
-              if
-                Array.exists (fun r -> not (Pipelined.abandoned r.conn)) t.remotes
-              then t.n_fallback <- t.n_fallback + 1;
+              if live then t.n_fallback <- t.n_fallback + 1;
               start_local t tag
             end
         | Some _ | None -> start_local t tag)

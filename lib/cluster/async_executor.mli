@@ -22,7 +22,10 @@
     submission order in its reorder buffer; {!exec_batch} is the batch
     convenience built on the same surface, returning a slot-indexed
     array so a caller's merge stays independent of completion order and
-    of [inflight] itself. *)
+    of [inflight] itself. The Domains backend runs one [inflight = 1]
+    instance inside each remote proxy domain, so every remote path in
+    AFEX shares this loop's client, backoff gate, straggler timer and
+    local fallback. *)
 
 (** A monotonic timer wheel: O(1) schedule/cancel, expiry in (deadline,
     scheduling order). Bucketed by coarse ticks; an entry more than a
@@ -65,10 +68,19 @@ type task = {
 
 type stats = {
   local_runs : int;  (** jobs started on this domain (incl. fallbacks) *)
-  remote_runs : int;  (** requests put on a manager's wire *)
+  remote_runs : int;
+      (** requests put on a manager's wire; one that then fails is also
+          a fallback *)
   remote_fallbacks : int;
-      (** tests that tried a remote path and re-ran locally: submit
-          failures, orphaned requests, straggler timeouts *)
+      (** The one rule for every backend. A fallback is a test that
+          carries a scenario, was dispatched while at least one manager
+          was not yet written off, and ran locally: its remote attempt
+          failed (refused or dead dial, dropped connection, straggler
+          timeout, manager error, undecodable reply), or every live
+          manager was waiting out its reconnect backoff. Once every
+          manager is written off the remaining tests run locally
+          uncounted; the write-off shows in the manager's [dials] and
+          [retries]. *)
   max_inflight : int;  (** high-water mark of concurrent tests *)
   wakeups : int;  (** event-loop iterations *)
 }
@@ -90,8 +102,6 @@ val create :
     clock.
     @raise Invalid_argument if [inflight < 1] or the timeout is not
     positive. *)
-
-val inflight : t -> int
 
 val submit : t -> tag:int -> task -> unit
 (** Enqueue one test under the caller's [tag] and dispatch eagerly if

@@ -58,16 +58,13 @@ let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
     else if jobs = 0 && remotes = [] then
       invalid_arg "Pool.create: need at least one worker (jobs or remotes)"
     else if jobs = 1 && remotes = [] then Runtime.inline ()
-    else Runtime.domains ~remotes ~total_blocks:(total_blocks executor) ~jobs ()
+    else
+      Runtime.domains ~remotes ?request_timeout_ms
+        ~total_blocks:(total_blocks executor) ~jobs ()
   in
   { jobs; executor; runtime; shut = false }
 
 let jobs t = t.jobs
-
-let inflight t =
-  match Runtime.async t.runtime with
-  | Some a -> Async_executor.inflight a
-  | None -> 1
 
 let async_stats t = Option.map Async_executor.stats (Runtime.async t.runtime)
 let remote_stats t = Runtime.remote_stats t.runtime

@@ -1,6 +1,6 @@
 (** Multicore execution backend: the explorer-facing session loop over
-    the work-stealing {!Runtime} (§6.1, §7.7 — the architecture
-    {!Simulation} only models).
+    the {!Runtime} (§6.1, §7.7 — the architecture {!Simulation} only
+    models).
 
     The explorer thread keeps a sliding window of up to [batch_size]
     candidates in flight: it submits to the runtime while the window has
@@ -45,10 +45,9 @@ type executor =
           alone — and therefore memoized like [Pure]. *)
 
 type t
-(** A running pool: a {!Runtime} handle — [jobs] local worker domains
-    plus one proxy domain per remote manager, each owning a
-    work-stealing deque. With [jobs = 1] and no remotes, no domain is
-    spawned and tasks run inline on the caller. *)
+(** A running pool: a {!Runtime} handle. With [jobs = 1], no remotes and
+    [inflight = 1], no domain is spawned and tasks run inline on the
+    caller. *)
 
 val create :
   ?remotes:Remote_manager.spec list ->
@@ -57,33 +56,30 @@ val create :
   jobs:int ->
   executor ->
   t
-(** Spawns the worker domains. The explorer feeds their per-worker
-    deques round-robin; a worker whose deque runs dry steals from a
-    random victim, so one slow scenario never idles the rest of the
-    fleet. Each remote spec gets a dedicated proxy domain that ships
-    stolen scenarios to its manager over the wire and falls back to
-    running them locally if the manager fails (dead, exhausted retries,
-    byzantine replies) — so remotes affect throughput, never the
-    explored-point history. Remote connections are dialed lazily on
-    first use. [Seeded] tasks are never sent remotely (their RNG stream
-    cannot cross the wire).
+(** Spawns [jobs] worker domains popping one shared run queue, plus one
+    proxy domain per remote spec popping the same queue. A proxy ships
+    each scenario it takes to its manager through a one-slot
+    {!Async_executor} and runs it locally when the manager fails (dead,
+    refusing, straggling past [request_timeout_ms], byzantine replies)
+    or is waiting out its reconnect backoff — so remotes affect
+    throughput, never the explored-point history, and a dead manager is
+    dialed at most [max_attempts] times in all. Remote connections are
+    dialed lazily on first use. [Seeded] tasks are never sent remotely
+    (their RNG stream cannot cross the wire).
 
     [inflight] (default 1) switches the pool to single-domain event-loop
     mode when [> 1] (an [Async] executor switches unconditionally): up to
     [inflight] tests are kept concurrently in flight by {!Async_executor}
-    — remotes become pipelined connections on the same loop rather than
-    proxy domains, and [request_timeout_ms] bounds how long a straggling
-    manager may hold any one of them. The explored-point history is
-    identical at every [inflight] value (and to the Domain path at equal
-    [batch_size]): results merge in submission order regardless of
-    completion order.
+    — remotes become pipelined connections on the same loop, each with
+    a credit of [inflight]. [request_timeout_ms] (default 10 s) bounds
+    how long a straggling manager may hold a request in either mode. The
+    explored-point history is identical at every [inflight] value (and
+    to the Domain path at equal [batch_size]): results merge in
+    submission order regardless of completion order.
     @raise Invalid_argument if [jobs < 0], [jobs = 0] with no remotes,
     [inflight < 1], or event-loop mode is combined with [jobs > 1]. *)
 
 val jobs : t -> int
-
-val inflight : t -> int
-(** 1 unless the pool is in event-loop mode. *)
 
 val async_stats : t -> Async_executor.stats option
 (** Event-loop counters, when in event-loop mode. *)
@@ -92,7 +88,8 @@ val remote_stats : t -> (string * Remote_manager.stats) list
 (** One [(name, stats)] per remote manager, in [create] order. *)
 
 val shutdown : t -> unit
-(** Closes the queue and joins all worker domains. Idempotent. *)
+(** Closes the run queue, joins all worker domains and closes remote
+    connections. Idempotent. *)
 
 type stats = {
   executed : int;  (** scenarios actually run on a worker *)
@@ -101,10 +98,10 @@ type stats = {
       (** windows completed this session: one per [batch_size] releases,
           plus one per sync watermark or session end that closes a
           partial window *)
-  remote_runs : int;  (** scenarios whose outcome came over the wire *)
+  remote_runs : int;  (** requests put on a manager's wire *)
   remote_fallbacks : int;
-      (** remote attempts that failed and were re-run locally — a
-          manager that refuses the handshake included *)
+      (** tests that ran locally although a manager could have taken
+          them — the rule is stated once, at {!Async_executor.stats} *)
   gen_ms : float;
       (** explorer time spent generating candidates (and replaying
           journaled outcomes), session total *)

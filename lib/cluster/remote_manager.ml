@@ -121,7 +121,7 @@ let dial spec =
           Error e)
 
 (* ------------------------------------------------------------------ *)
-(* Client proxy                                                        *)
+(* Pipelined client                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type stats = {
@@ -136,183 +136,11 @@ type stats = {
   dict_size : int;
 }
 
-let build_stats ~requests ~retries ~dials ~manager_errors (acct : wire_acct)
-    live_opt =
-  let frames_out, frames_in, bytes_out, bytes_in, dict_size =
-    match live_opt with
-    | None ->
-        (acct.frames_out, acct.frames_in, acct.bytes_out, acct.bytes_in, 0)
-    | Some l ->
-        let c = l.tr.Transport.counters in
-        ( acct.frames_out + c.Transport.frames_out,
-          acct.frames_in + c.Transport.frames_in,
-          acct.bytes_out + c.Transport.bytes_out,
-          acct.bytes_in + c.Transport.bytes_in,
-          Message.V2.client_dict_size l.dec )
-  in
-  {
-    requests;
-    retries;
-    dials;
-    manager_errors;
-    frames_out;
-    frames_in;
-    bytes_out;
-    bytes_in;
-    dict_size;
-  }
-
-type t = {
-  spec : spec;
-  total_blocks : int;
-  mutable conn : live option;
-  acct : wire_acct;
-  mutable seq : int;
-  mutable n_requests : int;
-  mutable n_retries : int;
-  mutable n_dials : int;
-  mutable n_manager_errors : int;
-}
-
-let create spec ~total_blocks =
-  {
-    spec;
-    total_blocks;
-    conn = None;
-    acct = wire_acct ();
-    seq = 0;
-    n_requests = 0;
-    n_retries = 0;
-    n_dials = 0;
-    n_manager_errors = 0;
-  }
-
-let stats t =
-  build_stats ~requests:t.n_requests ~retries:t.n_retries ~dials:t.n_dials
-    ~manager_errors:t.n_manager_errors t.acct t.conn
-
-let name t = t.spec.name
-
-let drop_conn t =
-  match t.conn with
-  | Some l ->
-      retire t.acct l;
-      t.conn <- None
-  | None -> ()
-
-let connect t =
-  t.n_dials <- t.n_dials + 1;
-  match dial t.spec with
-  | Ok l ->
-      t.conn <- Some l;
-      Ok l
-  | Error e -> Error e
-
-(* Exponential backoff schedule shared by the blocking client (which
-   sleeps it on its dedicated proxy domain) and the pipelined client
-   (which never sleeps: the async executor turns the same delay into a
-   timer-wheel deadline, so other in-flight tests keep progressing). *)
-let backoff_delay_ms spec attempt =
-  if spec.backoff_ms <= 0.0 then 0.0
-  else spec.backoff_ms *. (2.0 ** float_of_int (attempt - 1))
-
-let backoff t attempt =
-  let delay = backoff_delay_ms t.spec attempt in
-  if delay > 0.0 then Unix.sleepf (delay /. 1000.0)
-
-let send_request (l : live) ~seq scenario =
-  Buffer.clear l.out;
-  Message.V2.encode_request l.enc l.out ~seq scenario;
-  l.tr.Transport.send (Buffer.contents l.out)
-
-let recv_replies (l : live) =
-  match l.tr.Transport.recv () with
-  | Error e -> Error (Transport.string_of_error e)
-  | Ok payload ->
-      Result.map_error
-        (fun m -> "undecodable reply: " ^ m)
-        (Message.V2.decode_replies l.dec payload)
-
-(* Read replies until the one matching [seq]: chaos can duplicate frames,
-   so stale sequence numbers are skipped rather than fatal. *)
-let await (l : live) seq =
-  let rec scan = function
-    | [] -> next ()
-    | Message.Scenario_result r :: rest ->
-        if r.Message.seq = seq then Ok (Message.Scenario_result r)
-        else if r.Message.seq < seq then scan rest
-        else Error (Printf.sprintf "reply for future sequence %d" r.Message.seq)
-    | Message.Manager_error { seq = rseq; message } :: rest ->
-        if rseq = seq then Ok (Message.Manager_error { seq = rseq; message })
-        else if rseq = -1 then
-          Error ("manager could not decode the request: " ^ message)
-        else scan rest
-  and next () =
-    match recv_replies l with Error m -> Error m | Ok msgs -> scan msgs
-  in
-  next ()
-
-let run_scenario t scenario =
-  t.n_requests <- t.n_requests + 1;
-  t.seq <- t.seq + 1;
-  let seq = t.seq in
-  let rec attempt n last =
-    if n > t.spec.max_attempts then
-      Error (Exhausted { attempts = t.spec.max_attempts; last })
-    else begin
-      if n > 1 then begin
-        t.n_retries <- t.n_retries + 1;
-        Log.debug (fun m ->
-            m "%s: retry %d/%d after %s" t.spec.name n t.spec.max_attempts last);
-        backoff t (n - 1)
-      end;
-      let conn =
-        match t.conn with Some l -> Ok l | None -> connect t
-      in
-      match conn with
-      | Error e ->
-          drop_conn t;
-          attempt (n + 1) (string_of_error e)
-      | Ok l -> (
-          match send_request l ~seq scenario with
-          | Error e ->
-              drop_conn t;
-              attempt (n + 1) (Transport.string_of_error e)
-          | Ok () -> (
-              match await l seq with
-              | Error m ->
-                  drop_conn t;
-                  attempt (n + 1) m
-              | Ok (Message.Manager_error { message; _ }) ->
-                  t.n_manager_errors <- t.n_manager_errors + 1;
-                  Error (Manager message)
-              | Ok (Message.Scenario_result r) -> (
-                  match Message.outcome_of_report ~total_blocks:t.total_blocks r with
-                  | Ok outcome -> Ok outcome
-                  | Error m ->
-                      drop_conn t;
-                      attempt (n + 1) ("unusable report: " ^ m))))
-    end
-  in
-  attempt 1 "never attempted"
-
 let send_shutdown (l : live) =
   Message.V2.encode_shutdown l.out;
   let payload = Buffer.contents l.out in
   Buffer.clear l.out;
   ignore (l.tr.Transport.send payload)
-
-let close t =
-  (match t.conn with
-  | Some l ->
-      send_shutdown l;
-      retire t.acct l
-  | None -> ());
-  t.conn <- None
-
-(* ------------------------------------------------------------------ *)
-(* Pipelined client                                                    *)
-(* ------------------------------------------------------------------ *)
 
 module Pipelined = struct
   type conn_state = Idle | Connected of live | Abandoned
@@ -359,7 +187,14 @@ module Pipelined = struct
     Hashtbl.fold (fun _ tg acc -> acc || tg = tag) t.outstanding false
   let failures t = t.failures
   let max_attempts t = t.spec.max_attempts
-  let backoff_ms t = backoff_delay_ms t.spec (max 1 t.failures)
+
+  (* The exponential reconnect backoff, surfaced as data: the async
+     executor turns it into a timer-wheel deadline, so nothing ever
+     sleeps while other in-flight tests could progress. *)
+  let backoff_ms t =
+    if t.spec.backoff_ms <= 0.0 then 0.0
+    else t.spec.backoff_ms *. (2.0 ** float_of_int (max 1 t.failures - 1))
+
   let abandoned t = match t.state with Abandoned -> true | _ -> false
 
   let dispatchable t =
@@ -371,11 +206,29 @@ module Pipelined = struct
     | Idle | Abandoned -> None
 
   let stats t =
-    let live_opt =
-      match t.state with Connected l -> Some l | Idle | Abandoned -> None
+    let a = t.acct in
+    let frames_out, frames_in, bytes_out, bytes_in, dict_size =
+      match t.state with
+      | Idle | Abandoned -> (a.frames_out, a.frames_in, a.bytes_out, a.bytes_in, 0)
+      | Connected l ->
+          let c = l.tr.Transport.counters in
+          ( a.frames_out + c.Transport.frames_out,
+            a.frames_in + c.Transport.frames_in,
+            a.bytes_out + c.Transport.bytes_out,
+            a.bytes_in + c.Transport.bytes_in,
+            Message.V2.client_dict_size l.dec )
     in
-    build_stats ~requests:t.n_requests ~retries:t.n_retries ~dials:t.n_dials
-      ~manager_errors:t.n_manager_errors t.acct live_opt
+    {
+      requests = t.n_requests;
+      retries = t.n_retries;
+      dials = t.n_dials;
+      manager_errors = t.n_manager_errors;
+      frames_out;
+      frames_in;
+      bytes_out;
+      bytes_in;
+      dict_size;
+    }
 
   let take_orphans t =
     let tags = List.rev t.orphans in

@@ -1,27 +1,23 @@
 (** A node manager on the far side of a {!Transport} connection (§6.1):
-    the client-side proxy the dispatcher talks to, and the server loop
-    that puts a real {!Node_manager} behind the wire protocol.
+    the client the dispatcher talks to ({!Pipelined}), and the server
+    loop that puts a real {!Node_manager} behind the wire protocol.
 
-    The proxy owns reliability: a versioned handshake on every
-    connection (a manager that refuses it fails the dial, which is
-    retried like any transport fault — there is no fallback codec),
+    The client owns reliability: a versioned handshake on every
+    connection (a manager that refuses it fails the dial, which counts
+    like any transport fault — there is no fallback codec),
     sequence-numbered request/reply matching (stale and duplicated
-    replies are skipped), bounded per-request retries with exponential
-    backoff, and reconnection on any transport fault. After
-    the retry budget is exhausted the request fails with a typed error —
-    the caller then re-runs the scenario locally, so a dead or byzantine
-    manager can slow a campaign down but never stall or corrupt it.
+    replies are skipped), and reconnection after a transport fault with
+    an exponential backoff that the caller schedules as a timer, never
+    a sleep. After [max_attempts] consecutive failures the manager is
+    written off; every failed or stranded request is handed back so the
+    caller re-runs the scenario locally. A dead or byzantine manager can
+    therefore slow a campaign down but never stall or corrupt it.
 
-    Two callers drive this module: under the work-stealing {!Runtime}
-    each manager gets a dedicated proxy domain that steals tasks from
-    the shared deques and ships them through the blocking client below
-    (falling back to running a failed task on the proxy itself), while
-    the async event loop rides the {!Pipelined} client — several tagged
-    requests outstanding per connection, matched out of order, with the
-    backoff schedule surfaced as timer data instead of sleeps. Either
-    way completions re-enter the explorer through the runtime's reorder
-    buffer, so remote health affects throughput, never the explored
-    history. *)
+    One caller drives the client: {!Async_executor}, either as the
+    [--inflight] event loop or as a one-slot loop inside each remote
+    proxy domain of the {!Runtime}. Completions re-enter the explorer
+    through the runtime's reorder buffer, so remote health affects
+    throughput, never the explored history. *)
 
 type error =
   | Transport of Transport.error
@@ -41,7 +37,9 @@ val string_of_error : error -> string
 type spec = {
   name : string;
   dial : unit -> (Transport.t, Transport.error) result;
-  max_attempts : int;  (** per-request attempts, including the first *)
+  max_attempts : int;
+      (** consecutive connection failures before the manager is written
+          off *)
   backoff_ms : float;  (** base of the exponential reconnect backoff *)
 }
 
@@ -62,17 +60,15 @@ val tcp_spec :
   port:int ->
   unit ->
   spec
-(** [recv_timeout_ms] is the straggler timeout: a manager that holds a
-    scenario longer forfeits it (the request is retried, and ultimately
-    requeued locally by the pool). *)
+(** [recv_timeout_ms] bounds each blocking receive (the handshake);
+    stragglers are bounded by the caller's request timer instead. *)
 
-(** {2 The client proxy} *)
+(** {2 The pipelined client}
 
-type t
-
-val create : spec -> total_blocks:int -> t
-(** No I/O happens here: the first {!run_scenario} dials. [total_blocks]
-    sizes the coverage bitsets rebuilt from wire reports. *)
+    Several seq-tagged requests ride one connection, responses are
+    matched {e out of order}, and nothing ever sleeps: every failure is
+    reported synchronously and the backoff schedule is exposed as data
+    ({!Pipelined.backoff_ms}) for the caller's timer wheel. *)
 
 type stats = {
   requests : int;
@@ -88,40 +84,14 @@ type stats = {
           dictionary; 0 when disconnected *)
 }
 
-val stats : t -> stats
-val name : t -> string
-
-val run_scenario :
-  t -> Afex_faultspace.Scenario.t -> (Afex_injector.Outcome.t, error) result
-(** Ships the scenario, awaits the matching reply, rebuilds the full
-    outcome (coverage, fault, stacks, exact duration) so the explorer's
-    accounting is bit-identical to an in-process run. Bounded: every
-    failure path ends in reconnect-and-retry at most
-    [spec.max_attempts] times, then [Error]. *)
-
-val close : t -> unit
-(** Best-effort [Shutdown] to the manager, then closes. Idempotent. *)
-
-(** {2 The pipelined client}
-
-    The blocking proxy above keeps exactly one request on the wire and
-    sleeps through reconnect backoff — fine on a dedicated proxy domain,
-    fatal inside an event loop that multiplexes many in-flight tests.
-    The pipelined client keeps several seq-tagged requests outstanding on
-    one connection, matches responses {e out of order}, and never sleeps:
-    every failure is reported synchronously and the retry/backoff
-    schedule is exposed as data ({!Pipelined.backoff_ms}) for the caller
-    — in practice [Async_executor]'s timer wheel — to turn into a
-    deadline, so other in-flight tests keep progressing while a manager
-    reconnects. *)
-
 module Pipelined : sig
   type conn
 
   val create : spec -> total_blocks:int -> credit:int -> conn
   (** No I/O; the first {!submit} dials. [credit] is the per-connection
       in-flight budget: how many requests may ride this connection
-      concurrently (the event loop passes its [inflight]).
+      concurrently (the event loop passes its [inflight], a proxy
+      domain 1).
       @raise Invalid_argument if [credit < 1]. *)
 
   val submit : conn -> tag:int -> Afex_faultspace.Scenario.t -> (unit, error) result
@@ -191,8 +161,8 @@ module Pipelined : sig
 
   val backoff_ms : conn -> float
   (** How long the caller should wait before the next {!submit} after a
-      failure — the same exponential schedule the blocking client
-      sleeps, surfaced as data for a timer wheel. *)
+      failure: [backoff_ms] of the spec, doubled per consecutive
+      failure. *)
 
   val max_attempts : conn -> int
   val name : conn -> string

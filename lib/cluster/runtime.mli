@@ -1,29 +1,28 @@
 (** The unified execution runtime: one [submit]/[poll]/[drain] surface
-    over every way AFEX can run a test, plus the two data structures the
+    over every way AFEX can run a test, plus the reorder buffer the
     barrierless pool is built from.
 
     The batch-barrier pool alternated generation and execution: the
     explorer generated a whole window, blocked until every slot came
-    back, then merged. Per-phase timings showed that barrier is a
-    first-order cost — merge stall comparable to execution wait at large
-    windows. This module removes it:
+    back, then merged. This module removes the barrier: the explorer
+    submits while its window has room and releases completions through
+    {!Reorder}, a submission-indexed buffer that hands them back
+    strictly in submission order. The explored history, feedback
+    weights and exports are therefore bit-identical to the sequential
+    run whichever backend executes the tests:
 
-    - {!Deque}: a Chase–Lev-style work-stealing deque per worker. The
-      explorer (the single producer) pushes tasks round-robin; a worker
-      whose own deque runs dry steals from a random victim, so load
-      imbalance — one slow scenario, one stolen worker — never idles the
-      rest of the fleet.
-    - {!Reorder}: a submission-indexed reorder buffer. Completions
-      arrive in whatever order workers finish; the buffer releases them
-      to the explorer strictly in submission order, so the explored
-      history, feedback weights and exports are bit-identical to the
-      sequential run at any parallelism.
-    - {!t}: the capability-based runtime handle. Three backends —
-      inline (execute on the caller), work-stealing Domains (local
-      workers plus remote-manager proxies), and the single-domain async
-      event loop — behind one interface, so {!Pool}, {!Checkpoint} and
-      the future multi-tenant coordinator schedule
-      heterogeneous workers without knowing which backend runs them. *)
+    - {!inline}: the caller runs each task at submission.
+    - {!domains}: worker domains pop one shared FIFO run queue. The
+      explorer is its only producer and tasks never spawn subtasks, so
+      a slow scenario delays only its own release while every other
+      worker keeps popping. Each remote manager adds one proxy domain
+      that pops the same queue and ships what it takes over a one-slot
+      {!Async_executor}.
+    - {!event_loop}: the single-domain async event loop, several tests
+      in flight at once.
+
+    Every remote path therefore rides the same pipelined client,
+    backoff gate, straggler timer and local fallback. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
     in-order release. Single-consumer; pure bookkeeping (no locks), so
@@ -55,35 +54,6 @@ module Reorder : sig
   (** Offered-but-unreleased values (the out-of-order backlog). *)
 end
 
-(** A Chase–Lev-style work-stealing deque, adapted to AFEX's shape: the
-    {e explorer} is the single owner ([push]/[pop] at the bottom), and
-    every worker — including the deque's nominal owner-worker — takes
-    from the top with a CAS {!steal}. Tasks never spawn subtasks, so the
-    only contended operation is steal/steal, resolved by the CAS on
-    [top]; push and pop stay fence-free single-owner operations. *)
-module Deque : sig
-  type 'a t
-
-  val create : ?capacity:int -> unit -> 'a t
-  (** Initial ring capacity (default 64); the owner grows it on demand,
-      never blocking thieves.
-      @raise Invalid_argument if [capacity < 1]. *)
-
-  val push : 'a t -> 'a -> unit
-  (** Owner only: append at the bottom. *)
-
-  val pop : 'a t -> 'a option
-  (** Owner only: take back the most recently pushed element (LIFO end),
-      racing thieves for the last one. *)
-
-  val steal : 'a t -> 'a option
-  (** Any domain: take the oldest element (FIFO end). Lock-free; [None]
-      when empty or when a race was lost and the deque drained. *)
-
-  val length : 'a t -> int
-  (** A snapshot; exact only when quiescent. *)
-end
-
 (** {2 The runtime} *)
 
 type task = {
@@ -94,18 +64,8 @@ type task = {
   run : unit -> Afex_injector.Outcome.t;
       (** the synchronous form: Domain workers and the inline backend *)
   start : unit -> Afex.Executor.job;
-      (** the nonblocking form the event loop multiplexes *)
-}
-
-type capabilities = {
-  kind : string;  (** ["inline"], ["domains"] or ["event-loop"] *)
-  workers : int;
-      (** executions the backend holds concurrently: 1 inline, local
-          domains + remote proxies for the stealing backend, [inflight]
-          for the event loop *)
-  stealing : bool;  (** idle workers steal from a random victim *)
-  pipelined : bool;  (** completions multiplex on one domain *)
-  remote : bool;  (** some tasks may execute across the wire *)
+      (** the nonblocking form an event loop (or a proxy's local
+          fallback) runs *)
 }
 
 type t
@@ -116,19 +76,20 @@ val inline : unit -> t
     backend must reproduce. *)
 
 val domains :
-  ?steal_seed:int ->
   ?remotes:Remote_manager.spec list ->
+  ?request_timeout_ms:int ->
   total_blocks:int ->
   jobs:int ->
   unit ->
   t
-(** The work-stealing backend: [jobs] local worker domains plus one
-    proxy domain per remote spec, each owning a deque the explorer feeds
-    round-robin. A dry worker steals from a random victim ([steal_seed]
-    seeds the per-worker victim streams — placement only, never the
-    history). A proxy ships each stolen task's scenario to its manager
-    and falls back to running it locally on any remote failure, so a bad
-    manager costs throughput, never correctness.
+(** [jobs] local worker domains plus one proxy domain per remote spec,
+    all popping one shared FIFO. A proxy runs each task it pops through
+    its own one-slot {!Async_executor} over its manager
+    ([request_timeout_ms] is that executor's straggler bound): a failed
+    or gated remote attempt runs the task locally on the proxy, so a bad
+    manager costs throughput, never correctness, and is dialed at most
+    [max_attempts] times in all. Tasks without a scenario run locally
+    on whichever domain pops them.
     @raise Invalid_argument if [jobs < 0] or there are no workers at
     all. *)
 
@@ -136,8 +97,6 @@ val event_loop : Async_executor.t -> t
 (** Wrap the single-domain async event loop: {!submit} enqueues on the
     loop, {!poll} runs it. The runtime owns the executor and closes it
     on {!shutdown}. *)
-
-val capabilities : t -> capabilities
 
 val submit : t -> task -> unit
 (** Hand one task to the backend. Never blocks on execution (the inline
@@ -163,14 +122,17 @@ val async : t -> Async_executor.t option
 (** The wrapped event loop, when the backend is one. *)
 
 val remote_runs : t -> int
-(** Tasks whose outcome came over the wire (both backends). *)
+(** Requests put on a manager's wire, summed over the event loop or the
+    proxies ({!Async_executor.stats}). *)
 
 val remote_fallbacks : t -> int
-(** Remote attempts that failed and re-ran locally. *)
+(** Tests that ran locally although a manager could have taken them,
+    summed the same way; {!Async_executor.stats} states the rule. *)
 
 val remote_stats : t -> (string * Remote_manager.stats) list
+(** One entry per manager, in spec order. *)
 
 val shutdown : t -> unit
 (** Join worker domains / close remote connections. Outstanding tasks
-    are still executed (domains drain their deques before exiting), but
+    are still executed (workers empty the run queue before exiting), but
     their completions are dropped. Idempotent. *)

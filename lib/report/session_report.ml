@@ -7,7 +7,9 @@ let operational_summary (r : Session.result) =
   String.concat "\n"
     [
       Printf.sprintf "strategy          : %s" r.Session.strategy;
-      Printf.sprintf "tests executed    : %d" r.Session.iterations;
+      (* Every merged test: a pooled run serves repeats from its cache. *)
+      Printf.sprintf "tests explored    : %d (cache hits included)"
+        r.Session.iterations;
       Printf.sprintf "faults triggered  : %d" r.Session.triggered;
       Printf.sprintf "simulated time    : %.1f s" (r.Session.simulated_ms /. 1000.0);
       Printf.sprintf "code coverage     : %.2f%% (%d/%d blocks)" r.Session.coverage_percent

@@ -123,7 +123,8 @@ let test_session_report_sections () =
 let test_operational_summary () =
   let r = Lazy.force session_result in
   let s = Session_report.operational_summary r in
-  checkb "tests executed line" true (contains s "tests executed    : 300")
+  checkb "tests explored line" true
+    (contains s "tests explored    : 300 (cache hits included)")
 
 (* --- golden replay regression --- *)
 

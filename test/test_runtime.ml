@@ -1,9 +1,9 @@
-(* The work-stealing runtime's two data structures in isolation — the
-   submission-indexed reorder buffer and the Chase–Lev-style deque —
-   plus the cross-executor determinism matrix the whole design exists
-   for: the same campaign exported byte-identically from the inline,
-   Domain-stealing, event-loop and loopback-remote backends, a kill at
-   a reorder-buffer sync watermark resumed to the same bytes. *)
+(* The runtime's reorder buffer in isolation, the Domains backend's
+   shared run queue under contention, plus the cross-executor
+   determinism matrix the whole design exists for: the same campaign
+   exported byte-identically from the inline, Domains, event-loop and
+   loopback-remote backends, a kill at a reorder-buffer sync watermark
+   resumed to the same bytes. *)
 
 module Runtime = Afex_cluster.Runtime
 module Pool = Afex_cluster.Pool
@@ -137,82 +137,65 @@ let test_reorder_custom_base () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* --- the work-stealing deque ------------------------------------------- *)
+(* --- the Domains run queue ---------------------------------------------- *)
 
-(* 0 = push, 1 = owner pop, 2 = steal: any single-threaded interleaving
-   must agree with the list model (push at the bottom, pop LIFO, steal
-   FIFO) and never lose or duplicate an element. capacity 2 forces the
-   ring to grow under load. *)
-let test_prop_deque_matches_model () =
-  Prop.check ~count:300 "deque ops match the list model"
-    (Prop.list ~max_length:40 (Prop.int_range 0 2))
-    (fun ops ->
-      let d = Runtime.Deque.create ~capacity:2 () in
-      let model = ref [] in
-      let counter = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-              incr counter;
-              Runtime.Deque.push d !counter;
-              model := !model @ [ !counter ]
-          | 1 -> (
-              let expect =
-                match List.rev !model with [] -> None | x :: _ -> Some x
-              in
-              let got = Runtime.Deque.pop d in
-              if got <> expect then ok := false;
-              match expect with
-              | Some _ -> model := List.rev (List.tl (List.rev !model))
-              | None -> ())
-          | _ -> (
-              let expect = match !model with [] -> None | x :: _ -> Some x in
-              let got = Runtime.Deque.steal d in
-              if got <> expect then ok := false;
-              match expect with
-              | Some _ -> model := List.tl !model
-              | None -> ()))
-        ops;
-      !ok && Runtime.Deque.length d = List.length !model)
-
-let test_deque_concurrent_steal_no_loss () =
-  (* Three thieves and the owner race to empty the deque; every element
-     must surface exactly once. The last-element race (pop vs steal) is
-     the only lock-free subtlety in the structure, so hammer it. *)
-  let d = Runtime.Deque.create ~capacity:4 () in
-  let n = 2000 in
-  for i = 1 to n do
-    Runtime.Deque.push d i
-  done;
-  let taken = Array.init 4 (fun _ -> ref []) in
-  let drain take mine =
-    let rec go misses =
-      if misses < 10_000 then
-        match take () with
-        | Some v ->
-            mine := v :: !mine;
-            go 0
-        | None -> go (misses + 1)
+let test_domains_every_task_once () =
+  (* Three workers race on the one shared queue while the explorer keeps
+     submitting and polling: every task must complete exactly once, with
+     its own outcome, and tasks still queued at shutdown must run. *)
+  let exec = Afex.Executor.of_target (Apache.target ()) in
+  let template =
+    let explorer =
+      Afex.Explorer.create (Config.random_search ~seed:3 ()) (Apache.space ()) exec
     in
-    go 0
+    let p = Option.get (Afex.Explorer.next explorer) in
+    exec.Afex.Executor.run_scenario (Afex.Explorer.scenario_for explorer p)
   in
-  let thieves =
-    List.init 3 (fun k ->
-        Domain.spawn (fun () -> drain (fun () -> Runtime.Deque.steal d) taken.(k)))
+  let outcome seq =
+    { template with Afex_injector.Outcome.duration_ms = float_of_int seq }
   in
-  drain (fun () -> Runtime.Deque.pop d) taken.(3);
-  List.iter Domain.join thieves;
-  let all = List.concat_map (fun r -> !r) (Array.to_list taken) in
-  checki "every element surfaced" n (List.length all);
-  checki "no element twice" n (List.length (List.sort_uniq compare all));
-  checki "deque drained" 0 (Runtime.Deque.length d)
+  let runtime =
+    Runtime.domains ~total_blocks:exec.Afex.Executor.total_blocks ~jobs:3 ()
+  in
+  let ran = Atomic.make 0 in
+  let task seq =
+    {
+      Runtime.seq;
+      scenario = None;
+      run =
+        (fun () ->
+          Atomic.incr ran;
+          outcome seq);
+      start = (fun () -> assert false);
+    }
+  in
+  let n = 2000 in
+  let seen = Array.make n 0 and mismatched = ref 0 in
+  let absorb =
+    List.iter (fun (seq, r) ->
+        seen.(seq) <- seen.(seq) + 1;
+        match r with
+        | Ok o when o = outcome seq -> ()
+        | Ok _ | Error _ -> incr mismatched)
+  in
+  for seq = 0 to n - 1 do
+    Runtime.submit runtime (task seq);
+    if seq mod 7 = 0 then absorb (Runtime.poll runtime ~block:false)
+  done;
+  absorb (Runtime.drain runtime);
+  checki "nothing outstanding" 0 (Runtime.outstanding runtime);
+  checkb "every task completed exactly once" true (Array.for_all (( = ) 1) seen);
+  checki "each completion carries its own outcome" 0 !mismatched;
+  for seq = 0 to 99 do
+    Runtime.submit runtime (task seq)
+  done;
+  Runtime.shutdown runtime;
+  checki "queued tasks still ran at shutdown" (n + 100) (Atomic.get ran)
 
 (* --- the cross-executor determinism matrix ----------------------------- *)
 
 (* One campaign per target family, exported from every backend the
-   runtime unifies — inline (jobs 1), work-stealing Domains (jobs 4),
+   runtime unifies — inline (jobs 1), Domains (jobs 4),
    the async event loop (inflight 8) and a loopback remote manager
    behind a proxy domain — and byte-diffed pairwise. This is the
    tentpole's contract: parallelism placement may change throughput,
@@ -356,8 +339,7 @@ let suite =
       ("reorder head-of-line gap", test_reorder_head_of_line_gap);
       ("reorder peek does not advance", test_reorder_peek_does_not_advance);
       ("reorder custom base sequence", test_reorder_custom_base);
-      ("prop: deque matches model", test_prop_deque_matches_model);
-      ("deque concurrent steal no loss", test_deque_concurrent_steal_no_loss);
+      ("domains run queue: every task exactly once", test_domains_every_task_once);
       ("matrix: mysql", test_matrix_mysql);
       ("matrix: netsim", test_matrix_netsim);
       ("matrix: replsim", test_matrix_replsim);

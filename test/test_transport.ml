@@ -8,6 +8,7 @@ module Message = Afex_cluster.Message
 module RM = Afex_cluster.Remote_manager
 module Node_manager = Afex_cluster.Node_manager
 module Pool = Afex_cluster.Pool
+module AE = Afex_cluster.Async_executor
 module Config = Afex.Config
 module Session = Afex.Session
 module Test_case = Afex.Test_case
@@ -540,25 +541,52 @@ let test_outcome_report_roundtrip () =
   checkb "out-of-range coverage is a typed error" true
     (is_error (Message.outcome_of_report ~total_blocks:100 report))
 
-(* --- the remote-manager proxy over the loopback --- *)
+(* --- the pipelined client over the loopback --- *)
+
+(* Submit every scenario on [conn] (tags = list positions), then drain
+   until each has an answer or [timeout_s] passes. *)
+let pipelined_run ?(timeout_s = 10.0) conn scenarios =
+  List.iteri
+    (fun tag s ->
+      match RM.Pipelined.submit conn ~tag s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e))
+    scenarios;
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let results = ref [] in
+  while
+    List.length !results < List.length scenarios
+    && Unix.gettimeofday () < deadline
+  do
+    match RM.Pipelined.drain conn with
+    | [] -> Unix.sleepf 0.001
+    | rs -> results := !results @ rs
+  done;
+  !results
 
 let test_loopback_outcome_equality () =
   let exec = executor () in
   let lb = RM.Loopback.create ~executor:exec () in
-  let rm = RM.create (RM.Loopback.spec lb) ~total_blocks:exec.Afex.Executor.total_blocks in
+  let conn =
+    RM.Pipelined.create (RM.Loopback.spec lb)
+      ~total_blocks:exec.Afex.Executor.total_blocks ~credit:32
+  in
+  let scenarios = Array.of_list (sample_scenarios 20) in
+  let results = pipelined_run conn (Array.to_list scenarios) in
+  checki "every request answered" 20 (List.length results);
   List.iter
-    (fun scenario ->
-      let remote = get_ok "run_scenario" (RM.run_scenario rm scenario) in
-      let local = exec.Afex.Executor.run_scenario scenario in
+    (fun (tag, r) ->
+      let remote = get_ok "pipelined outcome" r in
+      let local = exec.Afex.Executor.run_scenario scenarios.(tag) in
       checkb "remote outcome equals local outcome" true (outcome_equal remote local))
-    (sample_scenarios 20);
-  let s = RM.stats rm in
+    results;
+  let s = RM.Pipelined.stats conn in
   checki "20 requests" 20 s.RM.requests;
   checki "no retries on a clean wire" 0 s.RM.retries;
   checki "one dial" 1 s.RM.dials;
   checkb "frames were counted" true (s.RM.frames_out > 0 && s.RM.frames_in > 0);
   checkb "bytes were counted" true (s.RM.bytes_out > 0 && s.RM.bytes_in > 0);
-  RM.close rm;
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb;
   checki "exactly one connection was made" 1 (RM.Loopback.connections lb)
 
@@ -568,17 +596,17 @@ let test_loopback_manager_error_not_retried () =
       (fun _ -> invalid_arg "executor exploded")
   in
   let lb = RM.Loopback.create ~executor:failing () in
-  let rm = RM.create (RM.Loopback.spec lb) ~total_blocks:10 in
-  let scenario = List.hd (sample_scenarios 1) in
-  (match RM.run_scenario rm scenario with
-  | Error (RM.Manager m) ->
-      checkb "the manager's message survives" true
-        (m = "executor exploded")
+  let conn = RM.Pipelined.create (RM.Loopback.spec lb) ~total_blocks:10 ~credit:1 in
+  (match pipelined_run conn (sample_scenarios 1) with
+  | [ (0, Error (RM.Manager m)) ] ->
+      checkb "the manager's message survives" true (m = "executor exploded")
   | _ -> Alcotest.fail "a manager-side failure must surface as Manager");
-  let s = RM.stats rm in
+  checkb "the connection survives a manager error" true
+    (RM.Pipelined.take_orphans conn = [] && not (RM.Pipelined.abandoned conn));
+  let s = RM.Pipelined.stats conn in
   checki "manager errors are deterministic: no retry" 0 s.RM.retries;
   checki "counted" 1 s.RM.manager_errors;
-  RM.close rm;
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
 (* --- chaos: the dispatcher under transport fault injection --- *)
@@ -592,28 +620,49 @@ let mild_chaos =
     garbage = 0.1;
   }
 
+(* The remote proxy's own machinery — a one-slot event loop over one
+   manager — driven directly: every test comes back, remote or re-run
+   locally, and must equal the local outcome. No backoff, so every test
+   makes exactly one remote attempt and the run is a function of the
+   chaos seed. *)
 let run_under_chaos ~chaos_to_server ~chaos_to_client ~seed =
   let exec = executor () in
   let lb =
     RM.Loopback.create ?chaos_to_server ?chaos_to_client ~chaos_seed:seed
       ~recv_timeout_ms:40 ~executor:exec ()
   in
-  let rm =
-    RM.create
-      (RM.Loopback.spec ~max_attempts:10 ~backoff_ms:0.2 lb)
-      ~total_blocks:exec.Afex.Executor.total_blocks
+  let proxy =
+    AE.create
+      ~remotes:[ RM.Loopback.spec ~max_attempts:50 ~backoff_ms:0.0 lb ]
+      ~request_timeout_ms:60 ~inflight:1
+      ~total_blocks:exec.Afex.Executor.total_blocks ()
   in
-  let scenarios = sample_scenarios 15 in
-  List.iter
-    (fun scenario ->
-      let remote = get_ok "run under chaos" (RM.run_scenario rm scenario) in
-      let local = exec.Afex.Executor.run_scenario scenario in
+  let scenarios = Array.of_list (sample_scenarios 15) in
+  let results =
+    AE.exec_batch proxy
+      (Array.map
+         (fun s ->
+           {
+             AE.scenario = Some s;
+             start = (fun () -> Afex.Executor.job_done (exec.Afex.Executor.run_scenario s));
+           })
+         scenarios)
+  in
+  Array.iteri
+    (fun i r ->
       checkb "chaos never corrupts an accepted outcome" true
-        (outcome_equal remote local))
-    scenarios;
-  let s = RM.stats rm in
-  RM.close rm;
+        (outcome_equal (get_ok "run under chaos" r)
+           (exec.Afex.Executor.run_scenario scenarios.(i))))
+    results;
+  let a = AE.stats proxy in
+  let s = snd (List.hd (AE.remote_stats proxy)) in
+  AE.close proxy;
   RM.Loopback.shutdown lb;
+  checkb "at most one request per test, each accounted" true
+    (a.AE.remote_runs <= s.RM.requests && s.RM.requests <= 15);
+  checkb "some outcomes came over the wire" true (a.AE.local_runs < 15);
+  checki "every local run is a counted fallback" a.AE.local_runs
+    a.AE.remote_fallbacks;
   s
 
 let test_chaos_on_requests () =
@@ -622,7 +671,6 @@ let test_chaos_on_requests () =
       ~chaos_to_server:(Some { mild_chaos with Transport.bitflip = 0.2 })
       ~chaos_to_client:None ~seed:11
   in
-  checki "all requests accounted" 15 s.RM.requests;
   checkb "corruption forced retries" true (s.RM.retries > 0);
   checkb "reconnects happened" true (s.RM.dials > 1)
 
@@ -631,36 +679,47 @@ let test_chaos_on_replies () =
     run_under_chaos ~chaos_to_server:None
       ~chaos_to_client:(Some mild_chaos) ~seed:23
   in
-  checki "all requests accounted" 15 s.RM.requests;
   checkb "corrupted replies forced retries" true (s.RM.retries > 0)
 
 let test_chaos_blackout_is_bounded () =
-  (* A wire that delivers nothing: the proxy must fail with a typed error
-     after its retry budget — never hang, never fake an outcome. *)
+  (* A wire that delivers nothing: the client must fail with a typed
+     error per dial and write the manager off after its budget — never
+     hang, never fake an outcome. *)
   let exec = executor () in
   let lb =
     RM.Loopback.create
       ~chaos_to_server:{ Transport.no_chaos with Transport.drop = 1.0 }
       ~recv_timeout_ms:30 ~executor:exec ()
   in
-  let rm =
-    RM.create
+  let conn =
+    RM.Pipelined.create
       (RM.Loopback.spec ~max_attempts:3 ~backoff_ms:0.2 lb)
-      ~total_blocks:exec.Afex.Executor.total_blocks
+      ~total_blocks:exec.Afex.Executor.total_blocks ~credit:1
   in
-  (match RM.run_scenario rm (List.hd (sample_scenarios 1)) with
+  let scenario = List.hd (sample_scenarios 1) in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 3 do
+    match RM.Pipelined.submit conn ~tag:0 scenario with
+    | Error (RM.Transport _ | RM.Protocol _) -> ()
+    | Error e -> Alcotest.failf "expected a dial failure, got %s" (RM.string_of_error e)
+    | Ok () -> Alcotest.fail "a dead wire cannot complete a handshake"
+  done;
+  checkb "written off after the budget" true (RM.Pipelined.abandoned conn);
+  (match RM.Pipelined.submit conn ~tag:0 scenario with
   | Error (RM.Exhausted { attempts; _ }) -> checki "budget respected" 3 attempts
   | Error _ -> Alcotest.fail "expected Exhausted after the retry budget"
-  | Ok _ -> Alcotest.fail "a dead wire cannot produce an outcome");
-  RM.close rm;
+  | Ok () -> Alcotest.fail "an abandoned manager cannot accept a request");
+  checki "no dial after the write-off" 3 (RM.Pipelined.stats conn).RM.dials;
+  checkb "bounded by the receive timeouts" true (Unix.gettimeofday () -. t0 < 5.0);
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
 (* --- the pool with remote workers --- *)
 
-let pool_history ?remotes ~jobs ~seed () =
+let pool_history ?remotes ?request_timeout_ms ~jobs ~seed () =
   let exec = executor () in
   let result, stats =
-    Pool.run ?remotes ~jobs ~batch_size:16 ~iterations:150
+    Pool.run ?remotes ?request_timeout_ms ~jobs ~batch_size:16 ~iterations:150
       (Config.fitness_guided ~seed ())
       (Apache.space ()) (Pool.Pure exec)
   in
@@ -703,7 +762,7 @@ let test_pool_chaotic_remote_matches_local () =
   let chaotic, _ =
     pool_history
       ~remotes:[ RM.Loopback.spec ~max_attempts:8 ~backoff_ms:0.2 lb ]
-      ~jobs:1 ~seed:41 ()
+      ~request_timeout_ms:200 ~jobs:1 ~seed:41 ()
   in
   RM.Loopback.shutdown lb;
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
@@ -1031,47 +1090,128 @@ let rejecting_manager () =
   (offered, dial)
 
 let test_rejected_client_never_redials () =
+  (* Each refusal is a typed Protocol error and a counted connection
+     failure, one HELLO per dial, until the manager is written off. *)
   let exec = executor () in
   let total_blocks = exec.Afex.Executor.total_blocks in
   let offered, dial = rejecting_manager () in
   let spec = RM.spec ~max_attempts:3 ~backoff_ms:0.1 ~name:"refuser" dial in
-  let rm = RM.create spec ~total_blocks in
-  (match RM.run_scenario rm (List.hd (sample_scenarios 1)) with
-  | Error (RM.Exhausted { attempts; _ }) -> checki "budget respected" 3 attempts
-  | Error e -> Alcotest.failf "expected Exhausted, got %s" (RM.string_of_error e)
-  | Ok _ -> Alcotest.fail "a refusing manager cannot produce an outcome");
-  checki "one dial per attempt, no redial" 3 (List.length !offered);
-  checki "counted as dials" 3 (RM.stats rm).RM.dials;
-  RM.close rm;
-  (* The pipelined client: each refusal is a typed Protocol error and a
-     counted connection failure, until the manager is written off. *)
   let conn = RM.Pipelined.create spec ~total_blocks ~credit:8 in
+  let scenario = List.hd (sample_scenarios 1) in
   for _ = 1 to 3 do
-    match RM.Pipelined.submit conn ~tag:0 (List.hd (sample_scenarios 1)) with
+    match RM.Pipelined.submit conn ~tag:0 scenario with
     | Error (RM.Protocol _) -> ()
     | Error e -> Alcotest.failf "expected Protocol, got %s" (RM.string_of_error e)
     | Ok () -> Alcotest.fail "a refused dial cannot accept a request"
   done;
   checkb "written off after max_attempts refusals" true (RM.Pipelined.abandoned conn);
+  (match RM.Pipelined.submit conn ~tag:0 scenario with
+  | Error (RM.Exhausted { attempts; _ }) -> checki "budget respected" 3 attempts
+  | Error e -> Alcotest.failf "expected Exhausted, got %s" (RM.string_of_error e)
+  | Ok () -> Alcotest.fail "a refusing manager cannot produce an outcome");
+  checki "counted as dials" 3 (RM.Pipelined.stats conn).RM.dials;
   RM.Pipelined.close conn;
-  checki "six HELLOs in all" 6 (List.length !offered);
+  checki "one HELLO per dial, no redial" 3 (List.length !offered);
   checkb "every HELLO offered the one protocol version" true
     (List.for_all (fun v -> v = 2) !offered)
 
 let test_pool_refused_manager_falls_back () =
-  let offered, dial = rejecting_manager () in
-  let refuser = RM.spec ~max_attempts:2 ~backoff_ms:0.1 ~name:"refuser" dial in
-  let refused, stats = pool_history ~remotes:[ refuser ] ~jobs:0 ~seed:41 () in
+  (* Pins the fallback rule ([Async_executor.stats]): a test counts when
+     a manager was still live at dispatch and the test ran locally. With
+     no backoff, each refused dial costs one test and the write-off
+     comes after [max_attempts] of them; the rest run uncounted. With a
+     long backoff, one refusal gates the manager for the whole campaign
+     and every test counts. Either way the manager sees at most
+     [max_attempts] HELLOs in all, never one per test. *)
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
-  checkb "history equals local" true (refused = local);
-  checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
-  checkb "tests were executed" true (stats.Pool.executed > 0);
-  checki "every executed test fell back, counted" stats.Pool.executed
-    stats.Pool.remote_fallbacks;
-  checki "one HELLO per attempt, no redial" (2 * stats.Pool.remote_fallbacks)
-    (List.length !offered);
-  checkb "every HELLO offered the one protocol version" true
-    (List.for_all (fun v -> v = 2) !offered)
+  List.iter
+    (fun (backoff_ms, hellos, counted) ->
+      let offered, dial = rejecting_manager () in
+      let refuser = RM.spec ~max_attempts:2 ~backoff_ms ~name:"refuser" dial in
+      let refused, stats = pool_history ~remotes:[ refuser ] ~jobs:0 ~seed:41 () in
+      let leg = Printf.sprintf "backoff %g ms: " backoff_ms in
+      checkb (leg ^ "history equals local") true (refused = local);
+      checki (leg ^ "nothing ran over the wire") 0 stats.Pool.remote_runs;
+      checkb (leg ^ "tests were executed") true (stats.Pool.executed > 0);
+      checki (leg ^ "HELLOs in all") hellos (List.length !offered);
+      checki (leg ^ "counted fallbacks") (counted stats) stats.Pool.remote_fallbacks;
+      checkb (leg ^ "every HELLO offered the one protocol version") true
+        (List.for_all (fun v -> v = 2) !offered))
+    [
+      (0.0, 2, fun _ -> 2);
+      (10_000.0, 1, fun (s : Pool.stats) -> s.Pool.executed);
+    ]
+
+(* An executor that spends [ms] of wall time per test, so every domain of
+   a pool gets work before the campaign ends. *)
+let slow_executor ms =
+  let exec = executor () in
+  Afex.Executor.of_scenario_fn ~total_blocks:exec.Afex.Executor.total_blocks
+    ~description:"slow apache" (fun s ->
+      Unix.sleepf (ms /. 1000.0);
+      exec.Afex.Executor.run_scenario s)
+
+let test_pool_dead_manager_never_stalls () =
+  (* [--jobs 2] beside an undialable manager with a 10 s backoff: the
+     proxy domain dials once, then runs what it pops locally while the
+     backoff gate is closed — no per-test redial, no sleep. *)
+  let dials = Atomic.make 0 in
+  let dead =
+    RM.spec ~max_attempts:3 ~backoff_ms:10_000.0 ~name:"dead" (fun () ->
+        Atomic.incr dials;
+        Error (Transport.Io "connection refused"))
+  in
+  let run ?(remotes = []) ~jobs () =
+    let pool = Pool.create ~remotes ~jobs (Pool.Pure (slow_executor 2.0)) in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let result, stats =
+          Pool.session ~batch_size:8 ~iterations:60 pool
+            (Config.fitness_guided ~seed:41 ())
+            (Apache.space ())
+        in
+        (history result, stats, Pool.remote_stats pool))
+  in
+  let local, _, _ = run ~jobs:1 () in
+  let t0 = Unix.gettimeofday () in
+  let with_dead, stats, remote = run ~remotes:[ dead ] ~jobs:2 () in
+  let wall = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "finished in %.2f s, under 5 s" wall) true (wall < 5.0);
+  checkb "history equals local" true (with_dead = local);
+  checkb "the proxy took tests" true (stats.Pool.remote_fallbacks > 0);
+  checkb "dials within max_attempts" true (Atomic.get dials <= 3);
+  checki "every dial counted" (Atomic.get dials)
+    (List.assoc "dead" remote).RM.dials
+
+let test_pool_proxy_request_timeout () =
+  (* A manager that takes 80 ms per test against a 25 ms bound: the proxy
+     domain's request timer fires, the manager forfeits the test, and it
+     re-runs locally. *)
+  let lb = RM.Loopback.create ~executor:(slow_executor 80.0) () in
+  let pool =
+    Pool.create
+      ~remotes:[ RM.Loopback.spec ~max_attempts:2 ~backoff_ms:1.0 lb ]
+      ~request_timeout_ms:25 ~jobs:0 (Pool.Pure (executor ()))
+  in
+  let result, stats =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Pool.session ~batch_size:4 ~iterations:12 pool
+          (Config.fitness_guided ~seed:41 ())
+          (Apache.space ()))
+  in
+  let remote = List.assoc "loopback" (Pool.remote_stats pool) in
+  RM.Loopback.shutdown lb;
+  let local, _ =
+    Pool.run ~batch_size:4 ~jobs:1 ~iterations:12
+      (Config.fitness_guided ~seed:41 ())
+      (Apache.space ()) (Pool.Pure (executor ()))
+  in
+  checkb "history equals local" true (history result = history local);
+  checkb "the straggler was timed out" true (remote.RM.retries > 0);
+  checkb "its tests fell back locally" true (stats.Pool.remote_fallbacks > 0)
 
 let test_pipelined_coalescing () =
   (* Six submits, under both the 8 KiB flush threshold and the credit of
@@ -1118,12 +1258,12 @@ let test_pipelined_coalescing () =
   RM.Loopback.shutdown lb
 
 let test_pool_v2_inflight_matrix () =
-  (* Explored histories over the wire at pipelining depths 1 (blocking
-     client on a proxy domain), 8 and 32 (pipelined event-loop client
-     with coalesced frames), on a clean and on a chaotic wire, are all
-     byte-identical to local. The chaotic blocking client, which waits
-     out every dropped frame, rides [test_pool_chaotic_remote_matches_local]
-     with a local worker beside it. *)
+  (* Explored histories over the wire at pipelining depths 1 (a proxy
+     domain's one-slot client), 8 and 32 (the event-loop client with
+     coalesced frames), on a clean and on a chaotic wire, are all
+     byte-identical to local. The chaotic proxy domain rides
+     [test_pool_chaotic_remote_matches_local] with a local worker
+     beside it. *)
   let exec = executor () in
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
   List.iter
@@ -1208,5 +1348,7 @@ let suite =
       ("pipelined requests coalesce into frames", test_pipelined_coalescing);
       ("REJECTed client never redials", test_rejected_client_never_redials);
       ("pool: refused manager falls back locally", test_pool_refused_manager_falls_back);
+      ("pool: dead manager under --jobs 2 never stalls", test_pool_dead_manager_never_stalls);
+      ("pool: proxy domain honours request_timeout_ms", test_pool_proxy_request_timeout);
       ("pool: v2 inflight 1/8/32 = local", test_pool_v2_inflight_matrix);
     ]
