@@ -71,6 +71,8 @@ val crash_index : t -> Afex_quality.Index.t
     items align with the crashing records in {!records} order. *)
 
 val sensitivity_probabilities : t -> float array
+(** A fresh copy of the current axis-choice distribution; writing to it
+    cannot steer later proposals. *)
 
 val rarity_histogram : t -> Rarity.t option
 (** The global block hit-count histogram, present iff the configuration

@@ -39,9 +39,24 @@ let copy_stats s = { s with proposals = s.proposals }
 let sigma_for params axis =
   params.sigma_fraction *. float_of_int (Axis.cardinality axis)
 
+(* One Gaussian offset table per axis, rebuilt only when that axis's
+   sigma changes (every report, at most, under [dynamic_sigma]), so the
+   memory stays one table per axis whatever the centres drawn. *)
+type cache = { tables : (float * Dist.gaussian) option array }
+
+let create_cache ~dims = { tables = Array.make dims None }
+
+let gaussian_for cache ~axis ~sigma ~n =
+  match cache.tables.(axis) with
+  | Some (s, g) when Float.equal s sigma && Dist.gaussian_size g = n -> g
+  | _ ->
+      let g = Dist.gaussian ~sigma ~n in
+      cache.tables.(axis) <- Some (sigma, g);
+      g
+
 (* Axis-choice weights with pinned axes zeroed out. If sensitivity left no
    mass on any free axis, the choice degrades to uniform over the free
-   axes — never over the pinned ones (Dist.of_weights would treat an
+   axes — never over the pinned ones (Dist.sample_weighted would treat an
    all-zero array as uniform over everything). *)
 let masked_weights ~mask weights =
   let n = Array.length weights in
@@ -53,7 +68,15 @@ let masked_weights ~mask weights =
     Array.mapi (fun i _ -> if mask.(i) then 0.0 else 1.0) w
   else w
 
-let mutate ?mask params rng sub sens ~parent =
+let mutate ?mask ?cache params rng sub sens ~parent =
+  let cache =
+    match cache with
+    | None -> create_cache ~dims:(Subspace.dim sub)
+    | Some c ->
+        if Array.length c.tables <> Subspace.dim sub then
+          invalid_arg "Mutator.mutate: cache dimension mismatch";
+        c
+  in
   let axis_index =
     match mask with
     | None ->
@@ -87,13 +110,18 @@ let mutate ?mask params rng sub sens ~parent =
         end
         else base
       in
-      Dist.sample_gaussian_index_excluding rng ~center:old_value ~sigma ~n
+      Dist.sample_gaussian_excluding rng
+        (gaussian_for cache ~axis:axis_index ~sigma ~n)
+        ~center:old_value
     end
   in
   (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
 
-let next ?stats ?(mask = fun (_ : Test_case.t) -> None) params rng sub sens
-    ~queue ~history ~is_pending =
+let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ?cache params rng sub
+    sens ~queue ~history ~is_pending =
+  let cache =
+    match cache with Some c -> c | None -> create_cache ~dims:(Subspace.dim sub)
+  in
   let tally f = match stats with Some s -> f s | None -> () in
   tally (fun s -> s.proposals <- s.proposals + 1);
   let novel p = (not (History.mem history p)) && not (is_pending p) in
@@ -117,7 +145,7 @@ let next ?stats ?(mask = fun (_ : Test_case.t) -> None) params rng sub sens
           end
       | Some parent ->
           let m = mask parent in
-          let point, axis = mutate ?mask:m params rng sub sens ~parent in
+          let point, axis = mutate ?mask:m ~cache params rng sub sens ~parent in
           if novel point && Subspace.mem sub point then begin
             (match m with
             | Some _ -> tally (fun s -> s.masked <- s.masked + 1)

@@ -56,8 +56,17 @@ val copy_stats : stats -> stats
 
 val sigma_for : params -> Afex_faultspace.Axis.t -> float
 
+type cache
+(** Per-search memo of the Gaussian offset tables ({!Afex_stats.Dist.gaussian}),
+    one per axis, rebuilt only when the axis's sigma changes. It never
+    changes a draw: a mutation with or without it consumes the same
+    random numbers and returns the same point. *)
+
+val create_cache : dims:int -> cache
+
 val mutate :
   ?mask:bool array ->
+  ?cache:cache ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -68,13 +77,17 @@ val mutate :
     offspring may coincide with an executed test; the caller dedupes).
     With [mask], pinned ([true]) axes are never chosen for mutation — the
     FairFuzz move for parents that reached a rare block: hold the axes
-    that got them there, explore the rest.
-    @raise Invalid_argument if the mask length differs from the subspace
-    dimension or every axis is pinned. *)
+    that got them there, explore the rest. The axis draw scans
+    {!Sensitivity.probabilities}, which is cached between reports; the
+    value draw reads the chosen axis's Gaussian table from [cache]
+    (without [cache], the table is built for this call alone).
+    @raise Invalid_argument if the mask or cache dimension differs from
+    the subspace dimension or every axis is pinned. *)
 
 val next :
   ?stats:stats ->
   ?mask:(Test_case.t -> bool array option) ->
+  ?cache:cache ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -90,4 +103,6 @@ val next :
     otherwise the last random draw is returned regardless). [mask] is
     consulted per sampled parent and applies {!mutate}'s masking;
     [stats], when supplied, tallies accepts, rejects, and fallbacks by
-    cause. Neither changes the draw sequence of an unmasked call. *)
+    cause. Neither changes the draw sequence of an unmasked call, and
+    [cache] changes no draw at all; a long-lived caller passes one so the
+    Gaussian tables outlive the call. *)

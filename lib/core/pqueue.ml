@@ -1,5 +1,4 @@
 module Rng = Afex_stats.Rng
-module Dist = Afex_stats.Dist
 
 (* The queue is small (tens of entries), so a plain list with O(n)
    operations is simpler than a heap and fast enough: sampling is O(n)
@@ -24,9 +23,44 @@ let capacity t = t.capacity
    search never hard-locks onto one test. *)
 let floor_weight = 1e-6
 
-let weights entries f =
-  Array.of_list
-    (List.map (fun c -> Float.max floor_weight (f c.Test_case.fitness)) entries)
+type weighting = Direct | Inverse
+
+(* [Float.max floor_weight x], NaN included, in a form the compiler
+   inlines, so the loops below keep their sums unboxed. *)
+let floored x = if x > floor_weight || Float.is_nan x then x else floor_weight
+
+let weight how c =
+  match how with
+  | Direct -> floored c.Test_case.fitness
+  | Inverse -> floored (1.0 /. floored c.Test_case.fitness)
+
+(* Proportional pick over [entries] under [how], with one [Rng.float]
+   draw: the index, and the entry, that [Dist.sample_weighted] picks from
+   the same weights, found by walking the list twice (sum, then scan)
+   instead of building weight, probability and cumulative arrays. *)
+let pick how rng entries =
+  let total = ref 0.0 and rest = ref entries in
+  while not (List.is_empty !rest) do
+    total := !total +. weight how (List.hd !rest);
+    rest := List.tl !rest
+  done;
+  let total = !total in
+  if Float.is_nan total then invalid_arg "Pqueue: NaN fitness";
+  let u = Rng.float rng 1.0 in
+  let acc = ref 0.0 and i = ref 0 and rest = ref entries and stop = ref false in
+  while not !stop do
+    match !rest with
+    | [] -> invalid_arg "Pqueue: empty"
+    | [ _ ] -> stop := true
+    | c :: tl ->
+        acc := !acc +. (weight how c /. total);
+        if !acc >= u then stop := true
+        else begin
+          incr i;
+          rest := tl
+        end
+  done;
+  (!i, List.hd !rest)
 
 let remove_nth entries n =
   let rec go i acc = function
@@ -46,9 +80,7 @@ let insert ?(policy = Inverse_fitness) rng t case =
   else begin
     let victim_index =
       match policy with
-      | Inverse_fitness ->
-          let inverse = weights t.entries (fun w -> 1.0 /. Float.max floor_weight w) in
-          Dist.sample_weighted rng inverse
+      | Inverse_fitness -> fst (pick Inverse rng t.entries)
       | Drop_min ->
           let _, index, _ =
             List.fold_left
@@ -67,9 +99,7 @@ let insert ?(policy = Inverse_fitness) rng t case =
 let sample rng t =
   match t.entries with
   | [] -> None
-  | entries ->
-      let direct = weights entries (fun w -> w) in
-      Some (List.nth entries (Dist.sample_weighted rng direct))
+  | entries -> Some (snd (pick Direct rng entries))
 
 let age t ~decay ~retire_below =
   List.iter

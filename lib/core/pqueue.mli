@@ -28,11 +28,14 @@ val insert :
 (** Adds a test; if the queue was full, returns the evicted victim. The
     default [Inverse_fitness] policy samples the victim with probability
     inversely proportional to fitness (the paper's rule); [Drop_min]
-    deterministically evicts the lowest-fitness entry (ablation). *)
+    deterministically evicts the lowest-fitness entry (ablation). The
+    inverse draw walks the list like {!sample}. *)
 
 val sample : Afex_stats.Rng.t -> t -> Test_case.t option
 (** Fitness-proportional parent choice; [None] when empty. Tests with
-    non-positive fitness are still sampleable with small probability. *)
+    non-positive fitness are still sampleable with small probability.
+    One [Rng.float] draw and two walks of the list (sum, then scan): no
+    weight array or distribution is built. *)
 
 val age : t -> decay:float -> retire_below:float -> Test_case.t list
 (** Multiplies every fitness by [decay] and removes (returning) tests

@@ -28,25 +28,24 @@ let observe t coverage =
 let rarest_block t coverage =
   if Bitset.capacity coverage <> Array.length t.hits then
     invalid_arg "Rarity.rarest_block: coverage capacity mismatch";
-  let best = ref None in
+  let best = ref (-1) and best_hits = ref max_int in
   Bitset.iter
     (fun b ->
-      match !best with
-      | Some (_, h) when t.hits.(b) >= h -> ()
-      | _ -> best := Some (b, t.hits.(b)))
+      if t.hits.(b) < !best_hits then begin
+        best := b;
+        best_hits := t.hits.(b)
+      end)
     coverage;
-  Option.map fst !best
-
-let min_hits t coverage =
-  Option.map (fun b -> t.hits.(b)) (rarest_block t coverage)
+  if !best < 0 then None else Some !best
 
 (* Bonus in (0, 1]: 1 for coverage reaching a never-hit block, decaying
    hyperbolically with the hit count of the rarest block reached — monotone
    non-increasing in that count. Empty coverage earns nothing. *)
-let bonus t coverage =
-  match min_hits t coverage with
+let bonus_of_rarest t = function
   | None -> 0.0
-  | Some h -> 1.0 /. (1.0 +. float_of_int h)
+  | Some b -> 1.0 /. (1.0 +. float_of_int (hit_count t b))
+
+let bonus t coverage = bonus_of_rarest t (rarest_block t coverage)
 
 let is_rare t ~cutoff b =
   if b < 0 || b >= Array.length t.hits then

@@ -31,15 +31,19 @@ val observe : t -> Afex_stats.Bitset.t -> unit
 
 val rarest_block : t -> Afex_stats.Bitset.t -> int option
 (** The covered block with the fewest prior hits (lowest id on ties);
-    [None] on empty coverage. *)
-
-val min_hits : t -> Afex_stats.Bitset.t -> int option
-(** Hit count of {!rarest_block}. *)
+    [None] on empty coverage. Like {!observe}, one pass over the set bits
+    ({!Afex_stats.Bitset.iter}). *)
 
 val bonus : t -> Afex_stats.Bitset.t -> float
-(** [1 / (1 + min_hits)] in (0, 1] — monotone non-increasing in the hit
-    count of the rarest block reached; 0 for empty coverage. Callers scale
-    it by the configured rarity weight and add it to fitness. *)
+(** [1 / (1 + h)] in (0, 1], where [h] is the hit count of the
+    {!rarest_block} — monotone non-increasing in that count; 0 for empty
+    coverage. Callers scale it by the configured rarity weight and add it
+    to fitness. *)
+
+val bonus_of_rarest : t -> int option -> float
+(** [bonus_of_rarest t (rarest_block t c) = bonus t c]: the bonus from an
+    already computed rarest block, so a caller that also needs the block
+    scans the coverage once. *)
 
 val is_rare : t -> cutoff:float -> int -> bool
 (** A block is rare while its hit count is below [cutoff] times the tests

@@ -1,11 +1,30 @@
 type axis_state = { mutable samples : float list (* newest first, <= window *) }
 
-type t = { window : int; axes : axis_state array; prior : float }
+(* [probs] and [pins] memoise {!probabilities} and {!mask} for the current
+   samples: the mutator reads them on every attempt, and they change only
+   when a report is recorded. *)
+type t = {
+  window : int;
+  axes : axis_state array;
+  prior : float;
+  mutable probs : float array option;
+  mutable pins : bool array option;
+}
 
 let create ?(window = 20) ~dims () =
   if dims < 1 then invalid_arg "Sensitivity.create: dims < 1";
   if window < 1 then invalid_arg "Sensitivity.create: window < 1";
-  { window; axes = Array.init dims (fun _ -> { samples = [] }); prior = 1.0 }
+  {
+    window;
+    axes = Array.init dims (fun _ -> { samples = [] });
+    prior = 1.0;
+    probs = None;
+    pins = None;
+  }
+
+let invalidate t =
+  t.probs <- None;
+  t.pins <- None
 
 let record t ~axis ~fitness =
   let state = t.axes.(axis) in
@@ -14,7 +33,8 @@ let record t ~axis ~fitness =
       List.filteri (fun i _ -> i < t.window - 1) state.samples
     else state.samples
   in
-  state.samples <- fitness :: trimmed
+  state.samples <- fitness :: trimmed;
+  invalidate t
 
 (* An axis with no samples yet reports an optimistic prior, so the search
    starts out direction-agnostic rather than locked on the first axis that
@@ -27,7 +47,7 @@ let value t i =
 
 let values t = Array.init (Array.length t.axes) (value t)
 
-let probabilities t =
+let compute_probabilities t =
   let raw = values t in
   let total = Array.fold_left ( +. ) 0.0 raw in
   let n = Array.length raw in
@@ -39,6 +59,14 @@ let probabilities t =
     Array.map (fun v -> (epsilon *. uniform) +. ((1.0 -. epsilon) *. v /. total)) raw
   end
 
+let probabilities t =
+  match t.probs with
+  | Some p -> p
+  | None ->
+      let p = compute_probabilities t in
+      t.probs <- Some p;
+      p
+
 let dims t = Array.length t.axes
 
 (* An axis is "critical" — worth pinning under mutation masking — when its
@@ -48,9 +76,14 @@ let dims t = Array.length t.axes
    always stays at or below uniform and the mask can never pin
    everything (the mutator additionally refuses an all-pinned mask). *)
 let mask t =
-  let p = probabilities t in
-  let uniform = 1.0 /. float_of_int (Array.length p) in
-  Array.map (fun v -> v > uniform) p
+  match t.pins with
+  | Some m -> m
+  | None ->
+      let p = probabilities t in
+      let uniform = 1.0 /. float_of_int (Array.length p) in
+      let m = Array.map (fun v -> v > uniform) p in
+      t.pins <- Some m;
+      m
 
 let dump t = Array.map (fun state -> state.samples) t.axes
 
@@ -66,5 +99,6 @@ let load ?(window = 20) ~dims samples =
   else begin
     let t = create ~window ~dims () in
     Array.iteri (fun i s -> t.axes.(i).samples <- s) samples;
+    invalidate t;
     Ok t
   end

@@ -19,7 +19,10 @@ val values : t -> float array
 val probabilities : t -> float array
 (** Normalized axis-choice distribution (line 5 of Algorithm 1), with a
     small floor on every axis so no direction is ever abandoned
-    completely. *)
+    completely. Computed once per sample state and cached until the next
+    {!record}: the array is shared with later calls and with the mutator,
+    so callers must treat it as read-only (copy it before handing it
+    out). *)
 
 val dims : t -> int
 
@@ -29,7 +32,8 @@ val mask : t -> bool array
     the axes whose mutations established the current position and should
     be held fixed while the rest explore. Because the probabilities sum
     to 1, at least one axis is always left unpinned (up to float
-    rounding; {!Mutator.mutate} rejects a fully pinned mask). *)
+    rounding; {!Mutator.mutate} rejects a fully pinned mask). Cached like
+    {!probabilities}: shared, read-only. *)
 
 val dump : t -> float list array
 (** Per-axis sample windows, newest first — the entire mutable state. *)

@@ -18,7 +18,23 @@ let with_component t i v =
 
 let equal a b = a = b
 let compare a b = Stdlib.compare a b
-let hash t = Hashtbl.hash (Array.to_list t)
+
+(* Folds in every component (Hashtbl.hash on the array would stop at
+   ten), then scrambles the low bits bucket selection reads; allocates
+   nothing. *)
+let hash (t : t) =
+  let h = ref (Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 65599) + t.(i)
+  done;
+  Hashtbl.hash !h
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let check_dims a b =
   if Array.length a <> Array.length b then

@@ -25,6 +25,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by the point itself: a probe neither allocates nor
+    encodes, unlike a {!key}-string table. *)
+
 val manhattan : t -> t -> int
 (** City-block distance. @raise Invalid_argument on dimension mismatch. *)
 

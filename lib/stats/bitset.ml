@@ -54,16 +54,20 @@ let diff_count a b =
   done;
   !total
 
+(* Zero bytes are skipped whole; bits past [capacity] are never set, so
+   the visit is exactly the ascending scan of [mem]. *)
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if mem t i then f i
+  for byte = 0 to Bytes.length t.words - 1 do
+    let c = Char.code (Bytes.unsafe_get t.words byte) in
+    if c <> 0 then
+      for bit = 0 to 7 do
+        if c land (1 lsl bit) <> 0 then f ((byte lsl 3) lor bit)
+      done
   done
 
 let to_list t =
   let acc = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    if mem t i then acc := i :: !acc
-  done;
-  !acc
+  iter (fun i -> acc := i :: !acc) t;
+  List.rev !acc
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words

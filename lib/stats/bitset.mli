@@ -21,5 +21,8 @@ val diff_count : t -> t -> int
 (** [diff_count a b] is the number of bits set in [a] but not in [b]. *)
 
 val iter : (int -> unit) -> t -> unit
+(** Visits the set bits in ascending order. Zero bytes are skipped whole,
+    so a sparse set costs its byte length, not one probe per bit. *)
+
 val to_list : t -> int list
 val equal : t -> t -> bool

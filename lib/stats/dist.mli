@@ -24,25 +24,34 @@ val sample : Rng.t -> weighted -> int
 (** Draw an index with its assigned probability. *)
 
 val sample_weighted : Rng.t -> float array -> int
-(** One-shot [sample rng (of_weights w)]. *)
+(** Same draw, same result and same RNG use as [sample rng (of_weights w)],
+    in one scan of [w] without building the distribution. *)
 
 val uniform : int -> weighted
 (** Uniform distribution over [0 .. n-1]. *)
 
-val discrete_gaussian : center:int -> sigma:float -> n:int -> weighted
-(** [discrete_gaussian ~center ~sigma ~n] is the Gaussian density evaluated
-    at integers [0 .. n-1], centred at [center], truncated to the domain and
-    renormalized. With [sigma <= 0] all mass is on [center]. This is the
-    mutation-magnitude distribution of Algorithm 1, line 9. *)
+type gaussian
+(** The mutation-magnitude density of Algorithm 1, line 9, for one domain
+    size and sigma: the Gaussian evaluated at every offset [-(n-1) .. n-1]
+    once, so a draw around any centre reads the table instead of
+    re-evaluating [n] exponentials. *)
 
-val sample_gaussian_index :
-  Rng.t -> center:int -> sigma:float -> n:int -> int
-(** Draw from {!discrete_gaussian}. *)
+val gaussian : sigma:float -> n:int -> gaussian
+(** With [sigma <= 0] all mass sits on offset 0.
+    @raise Invalid_argument if [n <= 0] or [sigma] is NaN. *)
 
-val sample_gaussian_index_excluding :
-  Rng.t -> center:int -> sigma:float -> n:int -> int
-(** Like {!sample_gaussian_index} but never returns [center] (a mutation
-    must change the attribute). Requires [n >= 2]. *)
+val gaussian_size : gaussian -> int
+(** The domain size [n]. *)
+
+val discrete_gaussian : gaussian -> center:int -> weighted
+(** The density at indices [0 .. n-1], centred on [center], truncated to
+    the domain and renormalized. *)
+
+val sample_gaussian_excluding : Rng.t -> gaussian -> center:int -> int
+(** Draw from {!discrete_gaussian} until the index differs from [center]
+    (a mutation must change the attribute); after 65 draws that all hit
+    the centre, a uniform other index. Requires [n >= 2] and [center] in
+    the domain. *)
 
 val inverse : float array -> float array
 (** [inverse w] maps each weight to a weight inversely proportional to it

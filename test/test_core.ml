@@ -267,6 +267,35 @@ let test_explorer_fitness_no_reexecution () =
         ignore (Explorer.execute explorer proposal)
   done
 
+let test_explorer_probabilities_copy () =
+  (* The explorer's sensitivity profile is cached and steers the mutator:
+     what [sensitivity_probabilities] hands out (into every session
+     result) must be a copy, so scribbling on it cannot change the next
+     proposal. A negative weight would make the mutator's axis draw raise
+     if the array were shared. *)
+  let explorer () =
+    Explorer.create (Config.fitness_guided ~seed:5 ()) search_sub (planted_executor ())
+  in
+  let step e =
+    match Explorer.next e with
+    | None -> Alcotest.fail "should not exhaust"
+    | Some p ->
+        ignore (Explorer.execute e p);
+        p.Mutator.point
+  in
+  let a = explorer () and b = explorer () in
+  for _ = 1 to 120 do
+    ignore (step a);
+    ignore (step b)
+  done;
+  let p = Explorer.sensitivity_probabilities a in
+  checkb "a fresh array per call" true
+    (p != Explorer.sensitivity_probabilities a);
+  Array.fill p 0 (Array.length p) (-1.0);
+  for _ = 1 to 20 do
+    checkb "next proposal unchanged" true (Point.equal (step a) (step b))
+  done
+
 let test_explorer_counters_consistent () =
   let explorer =
     Explorer.create (Config.fitness_guided ~seed:3 ()) search_sub (planted_executor ())
@@ -429,6 +458,7 @@ let suite =
       ("explorer exhaustive complete", test_explorer_exhaustive_complete);
       ("explorer fitness no re-execution", test_explorer_fitness_no_reexecution);
       ("explorer counters consistent", test_explorer_counters_consistent);
+      ("explorer probabilities are a copy", test_explorer_probabilities_copy);
       ("explorer random repeats", test_explorer_random_allows_repeats);
       ("explorer simulated time", test_explorer_simulated_time);
       ("session fitness beats random (planted)", test_session_fitness_beats_random_on_planted_cluster);

@@ -137,6 +137,93 @@ let test_pqueue_invariants () =
           invariant ())
         ops)
 
+(* --- Q_priority draws equal the weight-array reference --------------- *)
+
+(* Fitness values the sampler must survive: zero, negative, tiny (below
+   the 1e-6 sampling floor) and ordinary. *)
+let arb_fitness_list =
+  Prop.list ~max_length:12
+    (Prop.map ~show:string_of_float
+       (fun (special, x) ->
+         if special < 5 then [| 0.0; -2.5; 1e-9; 1e-6; 3e-7 |].(special) else x)
+       (Prop.pair (Prop.int_range 0 9) (Prop.float_range (-5.0) 100.0)))
+
+(* The pre-scan implementation: materialise the floored weights, build a
+   [Dist.weighted] and binary-search it, then walk to the index. *)
+let reference_pick rng entries weight =
+  let w =
+    Array.of_list
+      (List.map (fun c -> Float.max 1e-6 (weight c.Test_case.fitness)) entries)
+  in
+  Afex_stats.Dist.sample rng (Afex_stats.Dist.of_weights w)
+
+let test_pqueue_sample_matches_reference () =
+  Prop.check ~count:300 "pqueue sample/evict = Dist.of_weights reference"
+    (Prop.pair (Prop.int_range 0 10_000) arb_fitness_list)
+    (fun (seed, fitnesses) ->
+      let entries =
+        List.mapi
+          (fun i fitness -> case ~fitness (Point.of_list [ i; 0; 0 ]))
+          fitnesses
+      in
+      let n = List.length entries in
+      let q = Result.get_ok (Pqueue.load ~capacity:(max 1 n) entries) in
+      let rng = Rng.create seed and ref_rng = Rng.create seed in
+      let samples_agree =
+        List.for_all
+          (fun _ ->
+            match (Pqueue.sample rng q, entries) with
+            | None, [] -> true
+            | Some c, _ :: _ ->
+                c == List.nth entries (reference_pick ref_rng entries Fun.id)
+            | _ -> false)
+          (List.init 8 Fun.id)
+      in
+      (* Inverse-fitness eviction on the full queue: same victim. *)
+      let evict_agrees =
+        n = 0
+        ||
+        let newcomer = case ~fitness:1.0 (Point.of_list [ n; 1; 0 ]) in
+        let victim = Pqueue.insert rng q newcomer in
+        let expected =
+          List.nth entries
+            (reference_pick ref_rng entries (fun f -> 1.0 /. Float.max 1e-6 f))
+        in
+        match victim with Some v -> v == expected | None -> false
+      in
+      samples_agree && evict_agrees && Rng.state rng = Rng.state ref_rng)
+
+(* --- Cached sensitivity equals a fresh recomputation ---------------- *)
+
+(* Ops: axis [n mod dims] records fitness [(n / dims) - 20] (negative,
+   zero and positive payoffs); 0 = round-trip through dump/load. *)
+let test_sensitivity_cache_matches_fresh () =
+  Prop.check ~count:200 "cached probabilities/mask = fresh recomputation"
+    (Prop.pair (Prop.int_range 1 5)
+       (Prop.list ~max_length:40 (Prop.int_range 0 199)))
+    (fun (dims, ops) ->
+      let window = 4 in
+      let fresh s =
+        Result.get_ok (Sensitivity.load ~window ~dims (Sensitivity.dump s))
+      in
+      let agrees s =
+        let f = fresh s in
+        (* Read the cache before the fresh copy so a stale entry shows. *)
+        let p = Sensitivity.probabilities s and m = Sensitivity.mask s in
+        p = Sensitivity.probabilities f && m = Sensitivity.mask f
+        && p == Sensitivity.probabilities s
+      in
+      let s = ref (Sensitivity.create ~window ~dims ()) in
+      agrees !s
+      && List.for_all
+           (fun n ->
+             if n = 0 then s := fresh !s
+             else
+               Sensitivity.record !s ~axis:(n mod dims)
+                 ~fitness:(float_of_int ((n / dims) - 20));
+             agrees !s)
+           ops)
+
 (* --- History is insertion-order insensitive ------------------------- *)
 
 let arb_points =
@@ -232,4 +319,8 @@ let suite =
       test_pool_window_one_is_sequential;
     Alcotest.test_case "op shrinking is minimal" `Quick
       test_shrinking_reports_minimal_ops;
+    Alcotest.test_case "pqueue draws match weight-array reference" `Quick
+      test_pqueue_sample_matches_reference;
+    Alcotest.test_case "sensitivity cache matches fresh recomputation" `Quick
+      test_sensitivity_cache_matches_fresh;
   ]

@@ -164,6 +164,28 @@ let test_golden_apache_export () =
          (min 60 (String.length fresh - max 0 (first_diff - 20))))
   end
 
+let test_golden_saturated_digest () =
+  (* The saturated counterpart of the golden above: rarity with masking
+     over 12000 tests reaches the masked mutations, the full-queue
+     eviction path and the attempt-budget fallback that 60 tests never
+     do. The committed MD5 is that of the CSV export of
+     afex explore --target apache -n 12000 --seed 1 --rarity --mask
+     --jobs 1 (default --batch 32). *)
+  let expected =
+    let ic = open_in_bin "golden/apache_rarity_mask_seed1_n12000.md5" in
+    let line = input_line ic in
+    close_in ic;
+    String.trim line
+  in
+  let result, _ =
+    Afex_cluster.Pool.run ~batch_size:32 ~jobs:1 ~iterations:12000
+      (Config.with_rarity ~mask:true (Config.fitness_guided ~seed:1 ()))
+      (Apache.space ())
+      (Afex_cluster.Pool.Pure (Afex.Executor.of_target (Apache.target ())))
+  in
+  checks "CSV export digest" expected
+    (Digest.to_hex (Digest.string (Afex_report.Export.records_to_csv result)))
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -179,4 +201,5 @@ let suite =
       ("session report sections", test_session_report_sections);
       ("operational summary", test_operational_summary);
       ("golden apache export", test_golden_apache_export);
+      ("golden saturated apache digest", test_golden_saturated_digest);
     ]

@@ -136,12 +136,12 @@ let test_dist_sampling_frequencies () =
   checkb "frequency near 0.25" true (Float.abs (f0 -. 0.25) < 0.02)
 
 let test_gaussian_center_heaviest () =
-  let d = Dist.discrete_gaussian ~center:5 ~sigma:2.0 ~n:11 in
+  let d = Dist.discrete_gaussian (Dist.gaussian ~sigma:2.0 ~n:11) ~center:5 in
   let w = Dist.weights d in
   Array.iteri (fun i p -> if i <> 5 then checkb "center is mode" true (w.(5) >= p)) w
 
 let test_gaussian_symmetric () =
-  let d = Dist.discrete_gaussian ~center:5 ~sigma:1.5 ~n:11 in
+  let d = Dist.discrete_gaussian (Dist.gaussian ~sigma:1.5 ~n:11) ~center:5 in
   let w = Dist.weights d in
   for k = 1 to 5 do
     checkb "symmetric around center" true (Float.abs (w.(5 - k) -. w.(5 + k)) < 1e-9)
@@ -149,8 +149,9 @@ let test_gaussian_symmetric () =
 
 let test_gaussian_excluding_center () =
   let rng = Rng.create 22 in
+  let g = Dist.gaussian ~sigma:1.0 ~n:8 in
   for _ = 1 to 500 do
-    let v = Dist.sample_gaussian_index_excluding rng ~center:3 ~sigma:1.0 ~n:8 in
+    let v = Dist.sample_gaussian_excluding rng g ~center:3 in
     checkb "never center" true (v <> 3);
     checkb "in range" true (v >= 0 && v < 8)
   done
@@ -158,8 +159,9 @@ let test_gaussian_excluding_center () =
 let test_gaussian_excluding_tiny_sigma () =
   (* Pathologically narrow sigma: the fallback must still move. *)
   let rng = Rng.create 23 in
+  let g = Dist.gaussian ~sigma:1e-12 ~n:5 in
   for _ = 1 to 100 do
-    let v = Dist.sample_gaussian_index_excluding rng ~center:0 ~sigma:1e-12 ~n:5 in
+    let v = Dist.sample_gaussian_excluding rng g ~center:0 in
     checkb "moved off center" true (v <> 0)
   done
 
@@ -258,9 +260,67 @@ let test_bitset_to_list_iter () =
 
 (* --- qcheck properties --- *)
 
+(* The Gaussian mutation draw as it was before the offset table: [n]
+   exponentials and a fresh [Dist.weighted] per call, binary-searched per
+   draw. The table-based sampler must match it draw for draw. *)
+let reference_gaussian_excluding rng ~center ~sigma ~n =
+  let w =
+    if sigma <= 0.0 then Array.init n (fun i -> if i = center then 1.0 else 0.0)
+    else
+      Array.init n (fun i ->
+          let d = float_of_int (i - center) /. sigma in
+          exp (-0.5 *. d *. d))
+  in
+  let d = Dist.of_weights w in
+  let rec draw attempts =
+    let i = Dist.sample rng d in
+    if i <> center then i
+    else if attempts > 64 then
+      let j = Rng.int rng (n - 1) in
+      if j >= center then j + 1 else j
+    else draw (attempts + 1)
+  in
+  draw 0
+
 let qcheck_tests =
   let open QCheck2 in
   [
+    Test.make ~name:"bitset iter = ascending mem scan"
+      Gen.(pair (int_bound 100) (list_size (int_bound 40) (int_bound 1000)))
+      (fun (capacity, picks) ->
+        let b = Bitset.create capacity in
+        if capacity > 0 then
+          List.iter (fun i -> Bitset.set b (i mod capacity)) picks;
+        let visited = ref [] in
+        Bitset.iter (fun i -> visited := i :: !visited) b;
+        let scanned = List.filter (Bitset.mem b) (List.init capacity Fun.id) in
+        List.rev !visited = scanned && Bitset.to_list b = scanned);
+    Test.make ~name:"dist sample_weighted = sample of of_weights"
+      Gen.(
+        pair small_int
+          (list_size (int_range 1 20)
+             (oneof [ pure 0.0; pure 1e-300; float_bound_inclusive 10.0 ])))
+      (fun (seed, weights) ->
+        let w = Array.of_list weights in
+        let a = Rng.create seed and b = Rng.create seed in
+        List.for_all
+          (fun _ -> Dist.sample_weighted a w = Dist.sample b (Dist.of_weights w))
+          (List.init 10 Fun.id)
+        && Rng.state a = Rng.state b);
+    Test.make ~name:"gaussian table sampler = per-call reference"
+      Gen.(
+        quad small_int (int_range 2 80) (int_bound 1_000_000)
+          (oneof [ pure 1e-12; pure 0.0; float_range 0.05 40.0 ]))
+      (fun (seed, n, c, sigma) ->
+        let center = c mod n in
+        let g = Dist.gaussian ~sigma ~n in
+        let a = Rng.create seed and b = Rng.create seed in
+        List.for_all
+          (fun _ ->
+            Dist.sample_gaussian_excluding a g ~center
+            = reference_gaussian_excluding b ~center ~sigma ~n)
+          (List.init 10 Fun.id)
+        && Rng.state a = Rng.state b);
     Test.make ~name:"bitset count equals distinct sets"
       Gen.(list_size (int_bound 50) (int_bound 199))
       (fun indices ->
