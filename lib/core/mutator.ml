@@ -68,15 +68,9 @@ let masked_weights ~mask weights =
     Array.mapi (fun i _ -> if mask.(i) then 0.0 else 1.0) w
   else w
 
-let mutate ?mask ?cache params rng sub sens ~parent =
-  let cache =
-    match cache with
-    | None -> create_cache ~dims:(Subspace.dim sub)
-    | Some c ->
-        if Array.length c.tables <> Subspace.dim sub then
-          invalid_arg "Mutator.mutate: cache dimension mismatch";
-        c
-  in
+let mutate ?mask ~cache params rng sub sens ~parent =
+  if Array.length cache.tables <> Subspace.dim sub then
+    invalid_arg "Mutator.mutate: cache dimension mismatch";
   let axis_index =
     match mask with
     | None ->
@@ -117,11 +111,8 @@ let mutate ?mask ?cache params rng sub sens ~parent =
   in
   (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
 
-let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ?cache params rng sub
+let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ~cache params rng sub
     sens ~queue ~history ~is_pending =
-  let cache =
-    match cache with Some c -> c | None -> create_cache ~dims:(Subspace.dim sub)
-  in
   let tally f = match stats with Some s -> f s | None -> () in
   tally (fun s -> s.proposals <- s.proposals + 1);
   let novel p = (not (History.mem history p)) && not (is_pending p) in

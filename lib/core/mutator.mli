@@ -58,15 +58,15 @@ val sigma_for : params -> Afex_faultspace.Axis.t -> float
 
 type cache
 (** Per-search memo of the Gaussian offset tables ({!Afex_stats.Dist.gaussian}),
-    one per axis, rebuilt only when the axis's sigma changes. It never
-    changes a draw: a mutation with or without it consumes the same
-    random numbers and returns the same point. *)
+    one per axis, rebuilt only when the axis's sigma changes. A search
+    creates one and passes it to every {!mutate} or {!next} call, so each
+    table is built once and reused across proposals. *)
 
 val create_cache : dims:int -> cache
 
 val mutate :
   ?mask:bool array ->
-  ?cache:cache ->
+  cache:cache ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -79,15 +79,14 @@ val mutate :
     FairFuzz move for parents that reached a rare block: hold the axes
     that got them there, explore the rest. The axis draw scans
     {!Sensitivity.probabilities}, which is cached between reports; the
-    value draw reads the chosen axis's Gaussian table from [cache]
-    (without [cache], the table is built for this call alone).
+    value draw reads the chosen axis's Gaussian table from [cache].
     @raise Invalid_argument if the mask or cache dimension differs from
     the subspace dimension or every axis is pinned. *)
 
 val next :
   ?stats:stats ->
   ?mask:(Test_case.t -> bool array option) ->
-  ?cache:cache ->
+  cache:cache ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -103,6 +102,4 @@ val next :
     otherwise the last random draw is returned regardless). [mask] is
     consulted per sampled parent and applies {!mutate}'s masking;
     [stats], when supplied, tallies accepts, rejects, and fallbacks by
-    cause. Neither changes the draw sequence of an unmasked call, and
-    [cache] changes no draw at all; a long-lived caller passes one so the
-    Gaussian tables outlive the call. *)
+    cause. Neither changes the draw sequence of an unmasked call. *)

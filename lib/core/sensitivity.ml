@@ -22,10 +22,6 @@ let create ?(window = 20) ~dims () =
     pins = None;
   }
 
-let invalidate t =
-  t.probs <- None;
-  t.pins <- None
-
 let record t ~axis ~fitness =
   let state = t.axes.(axis) in
   let trimmed =
@@ -34,7 +30,8 @@ let record t ~axis ~fitness =
     else state.samples
   in
   state.samples <- fitness :: trimmed;
-  invalidate t
+  t.probs <- None;
+  t.pins <- None
 
 (* An axis with no samples yet reports an optimistic prior, so the search
    starts out direction-agnostic rather than locked on the first axis that
@@ -99,6 +96,5 @@ let load ?(window = 20) ~dims samples =
   else begin
     let t = create ~window ~dims () in
     Array.iteri (fun i s -> t.axes.(i).samples <- s) samples;
-    invalidate t;
     Ok t
   end

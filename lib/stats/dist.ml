@@ -86,10 +86,6 @@ let check_center name g center =
   if center < 0 || center >= g.n then
     invalid_arg (Printf.sprintf "Dist.%s: center %d outside [0,%d)" name center g.n)
 
-let discrete_gaussian g ~center =
-  check_center "discrete_gaussian" g center;
-  of_weights (Array.sub g.offsets (g.n - 1 - center) g.n)
-
 let sample_gaussian_excluding rng g ~center =
   let n = g.n in
   if n < 2 then invalid_arg "Dist.sample_gaussian_excluding: domain too small";

@@ -43,13 +43,11 @@ val gaussian : sigma:float -> n:int -> gaussian
 val gaussian_size : gaussian -> int
 (** The domain size [n]. *)
 
-val discrete_gaussian : gaussian -> center:int -> weighted
-(** The density at indices [0 .. n-1], centred on [center], truncated to
-    the domain and renormalized. *)
-
 val sample_gaussian_excluding : Rng.t -> gaussian -> center:int -> int
-(** Draw from {!discrete_gaussian} until the index differs from [center]
-    (a mutation must change the attribute); after 65 draws that all hit
+(** Draw from the density at indices [0 .. n-1], centred on [center],
+    truncated to the domain and renormalized, until the index differs
+    from [center] (a mutation must change the attribute); after 65 draws
+    that all hit
     the centre, a uniform other index. Requires [n >= 2] and [center] in
     the domain. *)
 

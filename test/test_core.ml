@@ -158,9 +158,12 @@ let search_sub =
 let test_mutator_single_axis_change () =
   let rng = Rng.create 11 in
   let sens = Sensitivity.create ~dims:3 () in
+  let cache = Mutator.create_cache ~dims:3 in
   for _ = 1 to 200 do
     let parent = case ~point:(Point.of_list [ 25; 1; 10 ]) () in
-    let child, axis = Mutator.mutate Mutator.default_params rng search_sub sens ~parent in
+    let child, axis =
+      Mutator.mutate ~cache Mutator.default_params rng search_sub sens ~parent
+    in
     checkb "child in space" true (Subspace.mem search_sub child);
     let diffs = ref 0 in
     for i = 0 to 2 do
@@ -182,9 +185,10 @@ let test_mutator_next_novel () =
   ignore (Pqueue.insert rng queue (case ~fitness:5.0 ~point:(Point.of_list [ 25; 1; 10 ]) ()));
   let history = History.create () in
   History.add history (Point.of_list [ 25; 1; 10 ]);
+  let cache = Mutator.create_cache ~dims:3 in
   for _ = 1 to 100 do
     let proposal =
-      Mutator.next Mutator.default_params rng search_sub sens ~queue ~history
+      Mutator.next ~cache Mutator.default_params rng search_sub sens ~queue ~history
         ~is_pending:(fun _ -> false)
     in
     checkb "novel" false (History.mem history proposal.Mutator.point)
@@ -196,7 +200,8 @@ let test_mutator_empty_queue_random () =
   let queue = Pqueue.create ~capacity:4 in
   let history = History.create () in
   let proposal =
-    Mutator.next Mutator.default_params rng search_sub sens ~queue ~history
+    Mutator.next ~cache:(Mutator.create_cache ~dims:3) Mutator.default_params
+      rng search_sub sens ~queue ~history
       ~is_pending:(fun _ -> false)
   in
   checkb "random proposal when queue empty" true (proposal.Mutator.mutated_axis = None);
