@@ -6,10 +6,10 @@
 #
 #   CRASH_SEED=<seed> .github/scripts/crash_resume.sh
 #
-# The precise crash windows (the k-th journal append, the gap between a
-# snapshot rename and the journal truncation) are swept deterministically
-# in-process by test/test_checkpoint.ml; this script is the end-to-end
-# complement on the real binary with a real SIGKILL.
+# The precise crash windows (after every journal append, right after a
+# snapshot rename) are swept deterministically in-process by
+# test/test_checkpoint.ml; this script is the end-to-end complement on
+# the real binary with a real SIGKILL.
 set -euo pipefail
 
 AFEX=${AFEX:-_build/default/bin/afex_cli.exe}
@@ -18,7 +18,6 @@ RANDOM=$SEED
 echo "crash_resume: kill schedule seed = $SEED (replay with CRASH_SEED=$SEED)"
 
 FLAGS=(--target mysql -n 1200 --seed 7 --batch 16 --latency fixed:2 --inflight 8)
-EVERY=40
 
 work=$(mktemp -d)
 trap '[ -n "${pid:-}" ] && kill -9 "$pid" 2> /dev/null; rm -rf "$work"' EXIT
@@ -40,7 +39,7 @@ run --export-json "$work/base.json" --export-csv "$work/base.csv" > /dev/null
 # snapshot and completion — process startup varies wildly across runners,
 # so kill delays are anchored to the first snapshot, not to launch.
 start_ms=$(date +%s%3N)
-run_bg --checkpoint "$work/ck0" --checkpoint-every "$EVERY" \
+run_bg --checkpoint "$work/ck0" \
   --export-json "$work/ck0.json" --export-csv "$work/ck0.csv"
 ck0_pid=$!
 while [ ! -e "$work/ck0/snapshot.afex" ] && kill -0 "$ck0_pid" 2> /dev/null; do
@@ -68,7 +67,7 @@ while [ "$interrupted" -lt 3 ]; do
   # snapshot keeps the schedule meaningful however slow startup is.
   delay_ms=$(( window_ms * (RANDOM % 96) / 100 ))
   dir="$work/kill$attempt"
-  run_bg --checkpoint "$dir" --checkpoint-every "$EVERY"
+  run_bg --checkpoint "$dir"
   pid=$!
   while [ ! -e "$dir/snapshot.afex" ] && kill -0 "$pid" 2> /dev/null; do
     sleep 0.01
@@ -87,19 +86,20 @@ while [ "$interrupted" -lt 3 ]; do
   fi
   interrupted=$((interrupted + 1))
   wal_lines=$(wc -l < "$dir/wal.log")
-  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): $wal_lines journal lines past the last snapshot"
+  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): $wal_lines journal lines to replay"
   run --resume "$dir" --export-json "$dir/res.json" --export-csv "$dir/res.csv" | grep '^checkpoint:'
   cmp "$work/base.json" "$dir/res.json"
   cmp "$work/base.csv" "$dir/res.csv"
   echo "crash_resume: kill #$interrupted resumed to byte-identical exports"
 done
 
-# Boundary case: the completed ck0 campaign sits exactly in the window
-# between a snapshot and any subsequent journal append (the final
-# snapshot truncated the journal). Resuming it must replay nothing and
-# still reproduce the exports byte-for-byte.
-echo "crash_resume: boundary resume (snapshot written, no journal appends after it)"
-run --resume "$work/ck0" --export-json "$work/bres.json" --export-csv "$work/bres.csv" | grep '^checkpoint:'
+# Boundary case: the completed ck0 campaign's final snapshot covers its
+# whole journal. Resuming it must replay every outcome, execute nothing,
+# and still reproduce the exports byte-for-byte.
+echo "crash_resume: boundary resume (finished campaign, whole journal replayed)"
+run --resume "$work/ck0" --export-json "$work/bres.json" --export-csv "$work/bres.csv" > "$work/bres.out"
+grep '^checkpoint:' "$work/bres.out"
+grep -q '^pool: .* 0 executed,' "$work/bres.out"
 cmp "$work/base.json" "$work/bres.json"
 cmp "$work/base.csv" "$work/bres.csv"
 

@@ -350,7 +350,9 @@ let explore_cmd =
   let jobs_arg =
     let doc =
       "Execute tests on $(docv) worker domains in parallel. The explored \
-       history depends only on the seed and batch size, never on $(docv)."
+       history depends only on the seed and batch size, never on $(docv). \
+       Refused above 1 with $(b,--inflight) above 1 or with $(b,--latency): \
+       both run on a single-domain event loop."
     in
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
@@ -385,31 +387,25 @@ let explore_cmd =
       "Simulate a slow target: each test completes only after a seeded, \
        per-scenario latency drawn from $(docv) — one of fixed:MS, \
        uniform:LO-HI, exp:MEAN, bimodal:FAST,SLOW,SHARE (milliseconds). \
-       Deterministic given the session seed, so campaigns replay exactly."
+       Deterministic given the session seed, so campaigns replay exactly. \
+       Requires $(b,--jobs) 1."
     in
     Arg.(value & opt (some string) None & info [ "latency" ] ~docv:"DIST" ~doc)
   in
   let checkpoint_arg =
     let doc =
-      "Make the campaign crash-safe: snapshot the full explorer state into \
-       $(docv) at a cadence of $(b,--checkpoint-every) reported outcomes and \
-       journal every outcome in between, so a killed process continues with \
-       $(b,--resume) and produces byte-identical exports."
+      "Make the campaign crash-safe: journal every reported outcome into \
+       $(docv) and write a small watermark snapshot at every sync \
+       watermark, so a killed process continues with $(b,--resume) and \
+       produces byte-identical exports."
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
   in
-  let checkpoint_every_arg =
-    let doc =
-      "Snapshot cadence for $(b,--checkpoint), in reported outcomes. Smaller \
-       values bound the journal replay a resume pays for; larger values \
-       amortize the snapshot write over more tests."
-    in
-    Arg.(value & opt int 500 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-  in
   let resume_arg =
     let doc =
-      "Continue the campaign checkpointed in $(docv): restore the last \
-       snapshot, replay the journal tail, and keep exploring (and \
+      "Continue the campaign checkpointed in $(docv): replay its journal \
+       from the first test without re-executing anything, check the \
+       replayed state against the snapshot, and keep exploring (and \
        checkpointing) from there. Every flag that shapes the search must \
        match the original invocation."
     in
@@ -418,7 +414,7 @@ let explore_cmd =
   let run target strategy iterations seed feedback rarity rarity_weight
       rarity_cutoff mask top replay_out multi seed_analysis
       csv_out json_out assess jobs batch managers inflight
-      latency checkpoint_dir checkpoint_every resume_dir verbosity =
+      latency checkpoint_dir resume_dir verbosity =
     setup_logging verbosity;
     if mask && not rarity then begin
       prerr_endline "afex: --mask needs --rarity (it pins against the rarity cutoff)";
@@ -458,19 +454,16 @@ let explore_cmd =
       prerr_endline "afex: --inflight must be at least 1";
       exit 2
     end;
-    if inflight > 1 && jobs > 1 then begin
+    if (inflight > 1 || latency <> None) && jobs > 1 then begin
       prerr_endline
-        "afex: --inflight multiplexes on a single domain; use --jobs 1 with it";
+        "afex: --inflight and --latency multiplex on a single domain; use \
+         --jobs 1 with them";
       exit 2
     end;
     if checkpoint_dir <> None && resume_dir <> None then begin
       prerr_endline
         "afex: --checkpoint and --resume are exclusive (a resume keeps \
          checkpointing into its own directory)";
-      exit 2
-    end;
-    if checkpoint_every < 1 then begin
-      prerr_endline "afex: --checkpoint-every must be at least 1";
       exit 2
     end;
     let latency_model =
@@ -485,8 +478,8 @@ let explore_cmd =
     in
     (* Campaign identity: every flag that shapes the explored history.
        Checked on --resume so a snapshot cannot silently continue under a
-       different configuration. jobs and --checkpoint-every are absent on
-       purpose — neither affects the history. *)
+       different configuration. jobs is absent on purpose — it does not
+       affect the history. *)
     let checkpoint_meta =
       let strategy_name =
         match strategy with
@@ -519,8 +512,7 @@ let explore_cmd =
       | None, None -> None
       | Some dir, None -> (
           match
-            Afex_cluster.Checkpoint.start ~every:checkpoint_every ~dir
-              checkpoint_meta
+            Afex_cluster.Checkpoint.start ~dir checkpoint_meta
           with
           | Ok cp -> Some cp
           | Error e ->
@@ -528,8 +520,7 @@ let explore_cmd =
               exit 2)
       | None, Some dir -> (
           match
-            Afex_cluster.Checkpoint.resume ~every:checkpoint_every ~dir
-              checkpoint_meta
+            Afex_cluster.Checkpoint.resume ~dir checkpoint_meta
           with
           | Ok cp -> Some cp
           | Error e ->
@@ -632,12 +623,18 @@ let explore_cmd =
               Afex_cluster.Pool.create ~remotes:specs ~inflight ~jobs pool_executor
             in
             let result, stats =
-              Fun.protect
-                ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
-                (fun () ->
-                  Afex_cluster.Pool.session ?checkpoint
-                    ~batch_size:(if batch = 0 then max_int else batch)
-                    ~iterations pool config sub)
+              match
+                Fun.protect
+                  ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
+                  (fun () ->
+                    Afex_cluster.Pool.session ?checkpoint
+                      ~batch_size:(if batch = 0 then max_int else batch)
+                      ~iterations pool config sub)
+              with
+              | r -> r
+              | exception Afex_cluster.Checkpoint.Cannot_resume m ->
+                  prerr_endline ("afex: --resume: " ^ m);
+                  exit 2
             in
             (result, Some (stats, Afex_cluster.Pool.remote_stats pool))
           end
@@ -742,9 +739,11 @@ let explore_cmd =
                  ~wal_appends:st.Afex_cluster.Checkpoint.wal_appends
                  ~replayed_records:st.Afex_cluster.Checkpoint.replayed_records ());
             Format.printf
-              "checkpoint: %d snapshots, %d journal appends%s; provenance in %s@."
+              "checkpoint: %d snapshots, %d journal appends, %d torn journal \
+               lines dropped%s; provenance in %s@."
               st.Afex_cluster.Checkpoint.snapshots_written
               st.Afex_cluster.Checkpoint.wal_appends
+              st.Afex_cluster.Checkpoint.torn_lines
               (if st.Afex_cluster.Checkpoint.was_resumed then
                  Printf.sprintf " (replayed %d journaled outcomes)"
                    st.Afex_cluster.Checkpoint.replayed_records
@@ -760,7 +759,7 @@ let explore_cmd =
       $ rarity_arg $ rarity_weight_arg $ rarity_cutoff_arg $ mask_arg
       $ top_arg $ replay_arg $ multi_arg $ seed_analysis_arg $ csv_arg $ json_arg
       $ assess_arg $ jobs_arg $ batch_arg $ manager_arg $ inflight_arg $ latency_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ verbose_arg)
+      $ checkpoint_arg $ resume_arg $ verbose_arg)
 
 (* --- afex serve --- *)
 

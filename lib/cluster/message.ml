@@ -14,15 +14,31 @@ let max_line = 1 lsl 20
 (* must be escaped along with control and non-ASCII bytes.             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let plain ch =
+  let c = Char.code ch in
+  c > 0x20 && c < 0x7f && ch <> '%' && ch <> ','
+
+let upper_hex = "0123456789ABCDEF"
+
+let add_escaped b s =
   String.iter
     (fun ch ->
-      let c = Char.code ch in
-      if c > 0x20 && c < 0x7f && ch <> '%' && ch <> ',' then Buffer.add_char b ch
-      else Buffer.add_string b (Printf.sprintf "%%%02X" c))
-    s;
-  Buffer.contents b
+      if plain ch then Buffer.add_char b ch
+      else begin
+        let c = Char.code ch in
+        Buffer.add_char b '%';
+        Buffer.add_char b upper_hex.[c lsr 4];
+        Buffer.add_char b upper_hex.[c land 0xf]
+      end)
+    s
+
+let escape s =
+  if String.for_all plain s then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end
 
 let hex_digit = function
   | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
@@ -119,11 +135,17 @@ let status_of_token = function
 (* Stacks: "-" = None; "@<count>:<comma-joined escaped frames>" = Some.
    The explicit count disambiguates [Some []] from [Some [""]]. *)
 
-let encode_stack = function
-  | None -> "-"
+let add_stack b = function
+  | None -> Buffer.add_char b '-'
   | Some frames ->
-      Printf.sprintf "@%d:%s" (List.length frames)
-        (String.concat "," (List.map escape frames))
+      Buffer.add_char b '@';
+      Buffer.add_string b (string_of_int (List.length frames));
+      Buffer.add_char b ':';
+      List.iteri
+        (fun i frame ->
+          if i > 0 then Buffer.add_char b ',';
+          add_escaped b frame)
+        frames
 
 let decode_stack s =
   if String.equal s "-" then Ok None
@@ -161,27 +183,25 @@ let decode_stack s =
 (* Coverage: "-" = empty; otherwise comma-joined runs "a" / "a-b" over
    the ascending block indices. *)
 
-let encode_coverage = function
-  | [] -> "-"
-  | first :: rest ->
-      let b = Buffer.create 64 in
-      let emit lo hi =
-        if Buffer.length b > 0 then Buffer.add_char b ',';
-        if lo = hi then Buffer.add_string b (string_of_int lo)
-        else Buffer.add_string b (Printf.sprintf "%d-%d" lo hi)
-      in
-      let lo, hi =
-        List.fold_left
-          (fun (lo, hi) i ->
-            if i = hi + 1 then (lo, i)
-            else begin
-              emit lo hi;
-              (i, i)
-            end)
-          (first, first) rest
-      in
-      emit lo hi;
-      Buffer.contents b
+(* [iter] visits the ascending block indices; [-1] marks no open run. *)
+let add_coverage b iter =
+  let start = Buffer.length b and lo = ref (-1) and hi = ref (-1) in
+  let emit () =
+    if Buffer.length b > start then Buffer.add_char b ',';
+    Buffer.add_string b (string_of_int !lo);
+    if !lo <> !hi then begin
+      Buffer.add_char b '-';
+      Buffer.add_string b (string_of_int !hi)
+    end
+  in
+  iter (fun i ->
+      if !lo >= 0 && i = !hi + 1 then hi := i
+      else begin
+        if !lo >= 0 then emit ();
+        lo := i;
+        hi := i
+      end);
+  if !lo >= 0 then emit () else Buffer.add_char b '-'
 
 let decode_coverage s =
   if String.equal s "-" then Ok []
@@ -207,8 +227,6 @@ let decode_coverage s =
     in
     go [] (String.split_on_char ',' s)
   end
-
-let encode_fault f = escape (Scenario.to_string (Fault.to_scenario f))
 
 let report_of_outcome ~seq (o : Outcome.t) =
   {
@@ -246,18 +264,49 @@ let outcome_of_report ~total_blocks r =
         }
   | exception Invalid_argument m -> Error m
 
-let encode_from_manager = function
+(* The RESULT record's fields, with the coverage given as an iterator
+   so a journaled outcome can be encoded straight from its bitset. *)
+let add_result b ~seq ~status ~triggered ~new_blocks ~duration_ms ~fault
+    ~coverage ~injection_stack ~crash_stack =
+  Buffer.add_string b "RESULT ";
+  Buffer.add_string b (string_of_int seq);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (status_token status);
+  Buffer.add_string b (if triggered then " T " else " N ");
+  Buffer.add_string b (string_of_int new_blocks);
+  (* %h (hexadecimal float) round-trips the duration exactly. *)
+  Printf.bprintf b " %h " duration_ms;
+  add_escaped b (Scenario.to_string (Fault.to_scenario fault));
+  Buffer.add_char b ' ';
+  add_coverage b coverage;
+  Buffer.add_char b ' ';
+  add_stack b injection_stack;
+  Buffer.add_char b ' ';
+  add_stack b crash_stack
+
+let add_from_manager b = function
   | Manager_error { seq; message } ->
-      Printf.sprintf "ERROR %d %s" seq (escape message)
+      Buffer.add_string b "ERROR ";
+      Buffer.add_string b (string_of_int seq);
+      Buffer.add_char b ' ';
+      add_escaped b message
   | Scenario_result r ->
-      (* %h (hexadecimal float) round-trips the duration exactly. *)
-      Printf.sprintf "RESULT %d %s %s %d %h %s %s %s %s" r.seq
-        (status_token r.status)
-        (if r.triggered then "T" else "N")
-        r.new_blocks r.duration_ms (encode_fault r.fault)
-        (encode_coverage r.coverage)
-        (encode_stack r.injection_stack)
-        (encode_stack r.crash_stack)
+      add_result b ~seq:r.seq ~status:r.status ~triggered:r.triggered
+        ~new_blocks:r.new_blocks ~duration_ms:r.duration_ms ~fault:r.fault
+        ~coverage:(fun f -> List.iter f r.coverage)
+        ~injection_stack:r.injection_stack ~crash_stack:r.crash_stack
+
+let encode_from_manager m =
+  let b = Buffer.create 128 in
+  add_from_manager b m;
+  Buffer.contents b
+
+let add_outcome_result b ~seq (o : Outcome.t) =
+  add_result b ~seq ~status:o.Outcome.status ~triggered:o.Outcome.triggered
+    ~new_blocks:0 ~duration_ms:o.Outcome.duration_ms ~fault:o.Outcome.fault
+    ~coverage:(fun f -> Bitset.iter f o.Outcome.coverage)
+    ~injection_stack:o.Outcome.injection_stack
+    ~crash_stack:o.Outcome.crash_stack
 
 let decode_fault s =
   match unescape s with

@@ -9,9 +9,8 @@
     Both ends ship in the same build, so there is exactly one protocol
     version; a mismatch is a refused connection, never a fallback codec.
 
-    The percent-escaped text codecs below ({!encode_from_manager} and the
-    field codecs) are not a wire protocol: they are the record format of
-    the checkpoint journal. Every decoder here is total and returns
+    The percent-escaped text codec below ({!encode_from_manager}) is not
+    a wire protocol: it is the record format of the checkpoint journal. Every decoder here is total and returns
     [Error] on malformed input — wire and disk bytes are never trusted. *)
 
 val protocol_version : int
@@ -22,39 +21,21 @@ val max_line : int
     a binary record (1 MiB); longer input is rejected by the decoders
     rather than parsed. *)
 
-(** {2 Field codecs}
+(** {2 Escaping}
 
-    The building blocks of the journal's run-report record, exposed so the
-    other line-oriented formats (the checkpoint snapshot codec) encode the
-    same data the same way — and inherit decoders that are already total
-    and property-tested. *)
+    Shared with the checkpoint codecs, which tokenize on spaces too. *)
 
 val escape : string -> string
 (** Percent-escape: the result contains no spaces, commas, [%], control
-    or non-ASCII bytes, so it is safe as one token of a line. *)
+    or non-ASCII bytes, so it is safe as one token of a line. A string
+    with nothing to escape is returned as is. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [Buffer.add_string b (escape s)], without building the escaped
+    string. *)
 
 val unescape : string -> (string, string) result
 (** Total inverse of {!escape}. *)
-
-val status_token : Afex_injector.Outcome.status -> string
-val status_of_token : string -> (Afex_injector.Outcome.status, string) result
-
-val encode_stack : string list option -> string
-(** ["-"] for [None]; ["@<count>:<comma-joined escaped frames>"]
-    otherwise. *)
-
-val decode_stack : string -> (string list option, string) result
-
-val encode_coverage : int list -> string
-(** Ascending block indices as comma-joined runs (["a"], ["a-b"]); ["-"]
-    when empty. *)
-
-val decode_coverage : string -> (int list, string) result
-
-val encode_fault : Afex_injector.Fault.t -> string
-(** The fault as one escaped token (its scenario wire form). *)
-
-val decode_fault : string -> (Afex_injector.Fault.t, string) result
 
 (** {2 Handshake} *)
 
@@ -114,6 +95,12 @@ val encode_from_manager : from_manager -> string
     percent-escaped, so newlines, spaces, commas and non-ASCII bytes
     round-trip; the duration is carried as a hexadecimal float and
     round-trips exactly. *)
+
+val add_outcome_result : Buffer.t -> seq:int -> Afex_injector.Outcome.t -> unit
+(** Append [encode_from_manager (Scenario_result (report_of_outcome ~seq
+    o))], byte for byte, read straight from the outcome: no report
+    record or coverage list is built. The checkpoint journal's line
+    body. *)
 
 val decode_from_manager : string -> (from_manager, string) result
 (** Total inverse of {!encode_from_manager}. *)

@@ -120,54 +120,51 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
          checkpointed campaign with iterations or a time budget"
   | (Some _ | None), _ -> ());
   let started = Unix.gettimeofday () in
-  let resume_snap = Option.bind checkpoint Checkpoint.loaded_snapshot in
+  (* A resumed campaign starts from scratch too: it replays the whole
+     journal into this fresh explorer before continuing live. *)
   let explorer =
-    match resume_snap with
-    | None ->
-        Afex.Explorer.create ?transform config sub (explorer_executor t.executor)
-    | Some snap -> (
-        match
-          Afex.Explorer.restore ?transform config sub
-            (explorer_executor t.executor)
-            snap.Checkpoint.Snapshot.explorer
-        with
-        | Ok e -> e
-        | Error m -> failwith ("Pool.session: cannot resume: " ^ m))
+    Afex.Explorer.create ?transform config sub (explorer_executor t.executor)
   in
   (* Seeded executors get one RNG stream per candidate, split off the
      session master at submission time: stream identity depends only on
      (seed, submission index), never on the worker that runs the task or
      the order completions arrive. *)
-  let master =
-    match resume_snap with
-    | None -> Rng.create config.Afex.Config.seed
-    | Some snap -> Rng.of_state snap.Checkpoint.Snapshot.master_state
+  let master = Rng.create config.Afex.Config.seed in
+  (* Completed windows. *)
+  let windows = ref 0 in
+  let current cp =
+    {
+      Checkpoint.Snapshot.meta = Checkpoint.meta cp;
+      batches = !windows;
+      master_state = Rng.state master;
+      scheduler = None;
+      explorer = Afex.Explorer.capture explorer;
+    }
   in
-  (* Completed windows, absolute across crashes. *)
-  let windows0 =
-    match resume_snap with None -> 0 | Some s -> s.Checkpoint.Snapshot.batches
-  in
-  let windows = ref windows0 in
   let write_snapshot () =
     match checkpoint with
     | None -> ()
     | Some cp ->
         Checkpoint.write_snapshot cp
           ~iterations:(Afex.Explorer.iterations explorer)
-          {
-            Checkpoint.Snapshot.meta = Checkpoint.meta cp;
-            batches = !windows;
-            master_state = Rng.state master;
-            scheduler = None;
-            explorer = Afex.Explorer.capture explorer;
-          }
+          (current cp)
   in
   (* A fresh checkpointed campaign writes its base snapshot before any
-     work, so a crash before the first cadence snapshot still resumes
-     from iteration zero instead of refusing. *)
+     work, so a crash before the first watermark still resumes from
+     iteration zero instead of refusing. *)
   (match checkpoint with
   | Some cp when not (Checkpoint.resumed cp) -> write_snapshot ()
   | Some _ | None -> ());
+  (* The resumed snapshot's watermark, until the replay reaches it and
+     the rebuilt state is checked against the snapshot's fingerprint. *)
+  let unverified =
+    ref
+      (Option.bind checkpoint (fun cp ->
+           Option.map
+             (fun s ->
+               (cp, s.Checkpoint.Snapshot.explorer.Afex.Explorer.Snapshot.iterations))
+             (Checkpoint.loaded_snapshot cp)))
+  in
   let cache : (string, Outcome.t) Hashtbl.t = Hashtbl.create 256 in
   let memoize =
     match t.executor with Pure _ | Async _ -> true | Seeded _ -> false
@@ -194,12 +191,9 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
      whole explored history — is a pure function of (seed, [batch_size],
      iterations), never of completion timing, [jobs] or
      [inflight]. *)
-  let base = Afex.Explorer.iterations explorer in
-  let submitted = ref base and released = ref base in
+  let submitted = ref 0 and released = ref 0 in
   let exhausted = ref false in
-  let reorder : slot Runtime.Reorder.t =
-    Runtime.Reorder.create ~next:(base + 1) ()
-  in
+  let reorder : slot Runtime.Reorder.t = Runtime.Reorder.create ~next:1 () in
   let metas : (int, meta) Hashtbl.t = Hashtbl.create 64 in
   (* Scenario keys with a fresh execution submitted but not yet
      released: a later identical candidate piggybacks on it as a [Dup]
@@ -212,7 +206,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
      armed — so snapshots (which need quiescence: Explorer snapshots
      refuse with candidates in flight) never perturb the explored
      history relative to an uncheckpointed run. *)
-  let next_sync = ref (((base / sync_every) + 1) * sync_every) in
+  let next_sync = ref sync_every in
   (* A window completes every [batch_size] releases, or earlier at a
      sync watermark; only the count is kept. *)
   let window_releases = ref 0 in
@@ -246,28 +240,26 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
     (match
        match checkpoint with Some cp -> Checkpoint.next_replay cp | None -> None
      with
-    | Some (seq, key, report) -> (
+    | Some (key, report) -> (
         (* The explorer is deterministic, so it must regenerate exactly
            the candidate the journal recorded; a mismatch means the
            checkpoint belongs to a different campaign (and slipped past
            the metadata check) or the journal is corrupt. *)
         match Afex.Explorer.next explorer with
         | None ->
-            failwith "Pool: journal replays beyond the explorer's candidates"
+            raise
+              (Checkpoint.Cannot_resume
+                 "the journal replays beyond the explorer's candidates")
         | Some p ->
             let abs = !submitted + 1 in
-            if seq <> abs then
-              failwith
-                (Printf.sprintf
-                   "Pool: journal replays iteration %d where %d was expected"
-                   seq abs);
             let pkey = Point.key p.Afex.Mutator.point in
             if key <> pkey then
-              failwith
-                (Printf.sprintf
-                   "Pool: journaled outcome %d is for point %s, but the \
-                    explorer regenerated %s"
-                   seq key pkey);
+              raise
+                (Checkpoint.Cannot_resume
+                   (Printf.sprintf
+                      "journaled outcome %d is for point %s, but the \
+                       explorer regenerated %s"
+                      abs key pkey));
             let scenario = Afex.Explorer.scenario_for explorer p in
             ignore (seeded_rng ());
             let outcome =
@@ -277,7 +269,9 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
               with
               | Ok o -> o
               | Error m ->
-                  failwith ("Pool: journaled outcome does not decode: " ^ m)
+                  raise
+                    (Checkpoint.Cannot_resume
+                       ("a journaled outcome does not decode: " ^ m))
             in
             let skey =
               if memoize then Some (Scenario.to_string scenario) else None
@@ -423,14 +417,38 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
     incr window_releases;
     if !window_releases >= batch_size then finish_window ()
   in
+  (* A resumed campaign drains at its snapshot's watermark, as the run
+     that wrote the snapshot had (snapshots are only written quiescent),
+     then checks the replayed state against the snapshot. The barrier
+     changes nothing when the watermark is a sync watermark or the
+     campaign's end; it matters only if [iterations] grew since. *)
+  let barrier () =
+    match !unverified with
+    | Some (_, w) when w < !next_sync -> w
+    | Some _ | None -> !next_sync
+  in
+  let at_watermark () =
+    match !unverified with Some (_, w) -> !released = w | None -> false
+  in
+  let verify_watermark () =
+    Option.iter
+      (fun (cp, _) ->
+        if !window_releases > 0 then finish_window ();
+        match Checkpoint.check_replay cp (current cp) with
+        | Ok () -> unverified := None
+        | Error m -> raise (Checkpoint.Cannot_resume m))
+      !unverified
+  in
   let rec drive () =
-    if !released >= !next_sync then begin
+    if at_watermark () then begin
+      verify_watermark ();
+      drive ()
+    end
+    else if !released >= !next_sync then begin
       (* Quiescent sync watermark: submissions were capped at the
          boundary, so everything before it has released. Close the
-         partial window — a resumed campaign restarts its window count
-         here, so window boundaries must coincide with sync points for
-         both to count the same windows — and write the cadence snapshot
-         if one is due. *)
+         partial window and write the watermark snapshot if one is
+         due. *)
       if !window_releases > 0 then finish_window ();
       (match checkpoint with
       | Some cp
@@ -444,7 +462,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
     else if
       can_submit ()
       && !submitted - !released < batch_size
-      && !submitted < !next_sync
+      && !submitted < barrier ()
     then begin
       submit_one ();
       drive ()
@@ -454,17 +472,26 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
       drive ()
     end
     else if can_submit () then begin
-      (* Submission was refused with nothing pending: the sync branch
-         above fires first when the boundary is the reason, so only a
-         zero-width window could land here — kept impossible by the
-         [batch_size >= 1] check. *)
+      (* Submission was refused with nothing pending: the sync and
+         watermark branches above fire first when a boundary is the
+         reason, so only a zero-width window could land here — kept
+         impossible by the [batch_size >= 1] check. *)
       assert false
     end
   in
   drive ();
+  (match !unverified with
+  | Some (_, w) ->
+      raise
+        (Checkpoint.Cannot_resume
+           (Printf.sprintf
+              "the replay stopped at iteration %d, before the snapshot's \
+               watermark %d"
+              !released w))
+  | None -> ());
   if !window_releases > 0 then finish_window ();
   (* Final snapshot: the completed campaign is itself a resumable (and
-     re-resumable) state, and the journal is left empty. *)
+     re-resumable) state. *)
   (match checkpoint with Some _ -> write_snapshot () | None -> ());
   let result =
     Afex.Session.summarize explorer
@@ -475,7 +502,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint ?(batch_size = 32)
     {
       executed = !executed;
       cache_hits = !cache_hits;
-      batches = !windows - windows0;
+      batches = !windows;
       remote_runs = Runtime.remote_runs t.runtime - remote_runs0;
       remote_fallbacks = Runtime.remote_fallbacks t.runtime - remote_fallbacks0;
       gen_ms = !gen_ms;

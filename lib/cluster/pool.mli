@@ -97,7 +97,8 @@ type stats = {
   batches : int;
       (** windows completed this session: one per [batch_size] releases,
           plus one per sync watermark or session end that closes a
-          partial window *)
+          partial window; a resumed session counts its replayed windows
+          too *)
   remote_runs : int;  (** requests put on a manager's wire *)
   remote_fallbacks : int;
       (** tests that ran locally although a manager could have taken
@@ -147,24 +148,27 @@ val session :
     watermarks: submissions never cross a multiple of [sync_every] until
     everything before it has merged, draining the window there. The
     drain is part of the schedule whether or not a checkpoint is armed —
-    it is where cadence snapshots are written — so the explored history
+    it is where watermark snapshots are written — so the explored history
     is a function of (seed, [batch_size], [sync_every], iterations)
     and nothing else.
 
     [checkpoint] arms crash-safe campaign persistence: a fresh
     {!Checkpoint.start} handle writes a base snapshot before any work,
-    journals every merged outcome at release, and snapshots at the
-    handle's cadence on the next sync watermark (where nothing is in
-    flight); a {!Checkpoint.resume} handle first restores the snapshot,
-    then replays the journaled outcomes — applied without re-execution,
-    flowing through the same sliding-window schedule — before generating
+    journals every merged outcome at release, and writes a watermark
+    snapshot at every sync watermark (where nothing is in flight) and at
+    the end. A {!Checkpoint.resume} handle replays the whole journal
+    from iteration 0 into a fresh explorer — outcomes applied without
+    re-execution, flowing through the same sliding-window schedule —
+    drains at the snapshot's watermark and checks the rebuilt state
+    against the snapshot ({!Checkpoint.check_replay}), then generates
     new work. Because the explorer and the per-candidate RNG streams are
     deterministic, the resulting history (and every export derived from
     it) is byte-for-byte the history the uninterrupted run would have
     produced.
-    @raise Invalid_argument when combined with [stop] (a predicate
-    cannot be captured in a snapshot); @raise Failure when the snapshot
-    or journal contradicts the regenerated campaign. *)
+    @raise Invalid_argument when combined with [stop] (a predicate is
+    not part of the campaign metadata a resume checks);
+    @raise Checkpoint.Cannot_resume when the journal or snapshot
+    contradicts the regenerated campaign. *)
 
 val run :
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->

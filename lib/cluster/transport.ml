@@ -21,14 +21,16 @@ let magic0 = 'A'
 let magic1 = 'F'
 let header_bytes = 10 (* 2 magic + 4 length + 4 checksum *)
 
-let fnv1a32 s =
+(* FNV-1a, 32 bits. *)
+let checksum_bytes b ~off ~len =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
-let checksum = fnv1a32
+let checksum s =
+  checksum_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 module Frame = struct
   let add_u32 b v =
@@ -50,7 +52,7 @@ module Frame = struct
     Buffer.add_char b magic0;
     Buffer.add_char b magic1;
     add_u32 b n;
-    add_u32 b (fnv1a32 payload);
+    add_u32 b (checksum payload);
     Buffer.add_string b payload;
     Buffer.contents b
 
@@ -75,7 +77,7 @@ module Frame = struct
         let payload = String.sub s header_bytes n in
         let declared = u32 s 6 in
         d.buf <- String.sub s (header_bytes + n) (len - header_bytes - n);
-        if fnv1a32 payload <> declared then Error (Corrupt "checksum mismatch")
+        if checksum payload <> declared then Error (Corrupt "checksum mismatch")
         else Ok (Some payload)
       end
     end
@@ -99,11 +101,12 @@ type t = {
 }
 
 (* Writing to a peer that already closed raises SIGPIPE, which would kill
-   the process instead of returning EPIPE. *)
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
+   the process instead of returning EPIPE. Set on every connection, not
+   forced once through a [lazy]: two domains dialing at once (remote
+   proxies at pool start) would force it concurrently, and the loser
+   raises [Lazy.Undefined], killing its domain mid-task. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -122,7 +125,7 @@ let write_all fd s =
   go 0
 
 let of_fd ?(recv_timeout_ms = 5000) ?(mangle = fun frame -> [ frame ]) ~peer fd =
-  Lazy.force ignore_sigpipe;
+  ignore_sigpipe ();
   let decoder = Frame.create () in
   (* Counters are logical — the frame as handed over / decoded, before
      any chaos mangling — so wire cost measurements stay

@@ -34,6 +34,10 @@ val checksum : string -> int
     formats (checkpoint snapshots, write-ahead journals) can share the
     transport's corruption-detection discipline. *)
 
+val checksum_bytes : Bytes.t -> off:int -> len:int -> int
+(** {!checksum} of [len] bytes of [b] from [off], without copying them
+    out. *)
+
 (** Frame encoding, exposed for tests and manglers. *)
 module Frame : sig
   val encode : string -> string

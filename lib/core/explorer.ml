@@ -26,7 +26,6 @@ type t = {
   history : History.t;
   sensitivity : Sensitivity.t;
   pending : unit Point.Tbl.t;
-  intern : Trace_intern.t;  (** shared by feedback and both indexes *)
   feedback : Feedback.t;
   failure_index : Index.t;
       (** injection stacks of triggered failing tests, clustered online *)
@@ -68,7 +67,6 @@ let create ?(transform = fun p -> p) config sub executor =
     pending = Point.Tbl.create 64;
     (* One intern table for the whole session: redundancy feedback and
        both cluster indexes tokenize each stack frame exactly once. *)
-    intern;
     feedback = Feedback.create ~intern ();
     failure_index = Index.create ~intern ();
     crash_index = Index.create ~intern ();
@@ -318,17 +316,6 @@ module Snapshot = struct
     triggered : int;
     simulated_ms : float;
     cursor_consumed : int;
-    covered : int list;  (* ascending block indices *)
-    records : Test_case.t list;  (* chronological *)
-    queue : int list;  (* birth ids, Pqueue.elements order *)
-    seeds : Point.t list;  (* analysis seeds not yet consumed *)
-    sensitivity : float list array;
-    intern_frames : string array;
-    feedback : int array list;
-    failure_index : Index.dump;
-    crash_index : Index.dump;
-    rarity : (int * (int * int) list) option;  (* Rarity.dump, when enabled *)
-    rare_blocks : (int * int) list;  (* birth -> rarest block, ascending *)
     mutator : Mutator.stats;  (* private copy *)
   }
 
@@ -336,7 +323,7 @@ module Snapshot = struct
     if Point.Tbl.length e.pending <> 0 then
       invalid_arg
         "Explorer.Snapshot.capture: candidates still in flight — snapshots \
-         are only taken at batch boundaries";
+         are only taken at quiescent points";
     {
       rng_state = Rng.state e.rng;
       issued = e.issued;
@@ -347,181 +334,8 @@ module Snapshot = struct
       triggered = e.triggered;
       simulated_ms = e.simulated_ms;
       cursor_consumed = e.cursor_consumed;
-      covered = Bitset.to_list e.covered;
-      records = List.rev e.records;
-      queue = List.map (fun c -> c.Test_case.birth) (Pqueue.elements e.queue);
-      seeds = e.seeds;
-      sensitivity = Sensitivity.dump e.sensitivity;
-      intern_frames = Trace_intern.dump e.intern;
-      feedback = Feedback.dump e.feedback;
-      failure_index = Index.dump e.failure_index;
-      crash_index = Index.dump e.crash_index;
-      rarity = Option.map Rarity.dump e.rarity;
-      rare_blocks =
-        List.sort compare
-          (Hashtbl.fold (fun birth b acc -> (birth, b) :: acc) e.rare_block []);
       mutator = Mutator.copy_stats e.mutator_stats;
     }
 end
 
 let capture = Snapshot.capture
-
-let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error ("Explorer.restore: " ^ m)) fmt in
-  let* intern = Trace_intern.of_frames s.Snapshot.intern_frames in
-  let* feedback = Feedback.load ~intern s.Snapshot.feedback in
-  let* failure_index = Index.load ~intern s.Snapshot.failure_index in
-  let* crash_index = Index.load ~intern s.Snapshot.crash_index in
-  let* sensitivity =
-    Sensitivity.load ~window:config.Config.sensitivity_window
-      ~dims:(Subspace.dim sub) s.Snapshot.sensitivity
-  in
-  let covered = Bitset.create executor.Executor.total_blocks in
-  let* () =
-    try
-      List.iter (Bitset.set covered) s.Snapshot.covered;
-      Ok ()
-    with Invalid_argument _ ->
-      err "covered block outside the target's %d blocks"
-        executor.Executor.total_blocks
-  in
-  (* Records are appended with birth = iteration count, so the k-th
-     chronological record must carry birth k+1; anything else means the
-     snapshot is inconsistent even though its checksum held. *)
-  let* () =
-    let rec check i = function
-      | [] ->
-          if i = s.Snapshot.iterations then Ok ()
-          else err "%d records for %d iterations" i s.Snapshot.iterations
-      | c :: rest ->
-          if c.Test_case.birth <> i + 1 then
-            err "record %d carries birth %d" i c.Test_case.birth
-          else check (i + 1) rest
-    in
-    check 0 s.Snapshot.records
-  in
-  let* () =
-    let count f = List.fold_left (fun n c -> if f c then n + 1 else n) 0 s.Snapshot.records in
-    let failed = count Test_case.failed
-    and crashed = count (fun c -> c.Test_case.status = Outcome.Crashed)
-    and hung = count (fun c -> c.Test_case.status = Outcome.Hung)
-    and triggered = count (fun c -> c.Test_case.triggered) in
-    if
-      failed <> s.Snapshot.failed
-      || crashed <> s.Snapshot.crashed
-      || hung <> s.Snapshot.hung
-      || triggered <> s.Snapshot.triggered
-    then err "statistics disagree with the records"
-    else Ok ()
-  in
-  let* () = if s.Snapshot.issued < 0 then err "negative issued count" else Ok () in
-  let* rarity =
-    match (config.Config.rarity, s.Snapshot.rarity) with
-    | None, None -> Ok None
-    | None, Some _ -> err "rarity histogram present but rarity is disabled"
-    | Some _, None -> err "rarity enabled but the snapshot holds no histogram"
-    | Some _, Some d -> (
-        match Rarity.load ~blocks:executor.Executor.total_blocks d with
-        | Ok h -> Ok (Some h)
-        | Error m -> Error ("Explorer.restore: " ^ m))
-  in
-  let* rare_block =
-    let h = Hashtbl.create 64 in
-    let rec fill last = function
-      | [] -> Ok h
-      | (birth, b) :: rest ->
-          if birth <= last then err "rare-block births out of order at %d" birth
-          else if birth < 1 || birth > s.Snapshot.iterations then
-            err "rare-block birth %d outside the %d-test history" birth
-              s.Snapshot.iterations
-          else if b < 0 || b >= executor.Executor.total_blocks then
-            err "rare block %d outside the target's %d blocks" b
-              executor.Executor.total_blocks
-          else begin
-            Hashtbl.replace h birth b;
-            fill birth rest
-          end
-    in
-    if rarity = None && s.Snapshot.rare_blocks <> [] then
-      err "rare-block map present but rarity is disabled"
-    else fill 0 s.Snapshot.rare_blocks
-  in
-  let* () =
-    let m = s.Snapshot.mutator in
-    if
-      m.Mutator.proposals < 0 || m.Mutator.masked < 0 || m.Mutator.rejects < 0
-      || m.Mutator.masked_rejects < 0 || m.Mutator.random_fallbacks < 0
-    then err "negative mutator statistics"
-    else Ok ()
-  in
-  let history = History.create () in
-  List.iter (fun c -> History.add history c.Test_case.point) s.Snapshot.records;
-  (* The queue is restored by reference into the record list: aging decays
-     the very fitness values the history reports, exactly as live. *)
-  let by_birth = Hashtbl.create 64 in
-  List.iter
-    (fun c -> Hashtbl.replace by_birth c.Test_case.birth c)
-    s.Snapshot.records;
-  let* queue_entries =
-    let seen = Hashtbl.create 16 in
-    let rec resolve acc = function
-      | [] -> Ok (List.rev acc)
-      | b :: rest -> (
-          if Hashtbl.mem seen b then err "queue lists test %d twice" b
-          else begin
-            Hashtbl.replace seen b ();
-            match Hashtbl.find_opt by_birth b with
-            | Some c -> resolve (c :: acc) rest
-            | None -> err "queue refers to unknown test %d" b
-          end)
-    in
-    resolve [] s.Snapshot.queue
-  in
-  let* queue = Pqueue.load ~capacity:config.Config.queue_capacity queue_entries in
-  let* cursor =
-    if s.Snapshot.cursor_consumed < 0 then err "negative cursor position"
-    else begin
-      let c = ref (Subspace.enumerate sub) in
-      let short = ref false in
-      for _ = 1 to s.Snapshot.cursor_consumed do
-        if not !short then
-          match !c () with
-          | Seq.Nil -> short := true
-          | Seq.Cons (_, rest) -> c := rest
-      done;
-      if !short then err "cursor beyond the end of the subspace" else Ok !c
-    end
-  in
-  Ok
-    {
-      config;
-      sub;
-      executor;
-      transform;
-      rng = Rng.of_state s.Snapshot.rng_state;
-      queue;
-      history;
-      sensitivity;
-      pending = Point.Tbl.create 64;
-      intern;
-      feedback;
-      failure_index;
-      crash_index;
-      covered;
-      rarity;
-      rare_block;
-      mutator_stats = Mutator.copy_stats s.Snapshot.mutator;
-      mutator_cache = Mutator.create_cache ~dims:(Subspace.dim sub);
-      seeds = s.Snapshot.seeds;
-      cursor;
-      cursor_consumed = s.Snapshot.cursor_consumed;
-      issued = s.Snapshot.issued;
-      iterations = s.Snapshot.iterations;
-      records = List.rev s.Snapshot.records;
-      failed = s.Snapshot.failed;
-      crashed = s.Snapshot.crashed;
-      hung = s.Snapshot.hung;
-      triggered = s.Snapshot.triggered;
-      simulated_ms = s.Snapshot.simulated_ms;
-    }

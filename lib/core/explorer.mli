@@ -91,12 +91,12 @@ val config : t -> Config.t
 
 (** {2 Checkpointing}
 
-    A snapshot is the complete mutable state of the search relative to its
-    configuration: everything [create]-time inputs (config, subspace,
-    executor, transform) do {e not} determine. Restoring a snapshot and
-    continuing produces bit-identical history to the uninterrupted run —
-    the invariant the checkpoint layer's crash-resume guarantee rests
-    on. *)
+    The explorer is a pure function of its configuration, subspace,
+    transform and the sequence of outcomes it is fed, so a checkpoint
+    needs only the journal of outcomes: a resumed campaign replays it
+    into a fresh explorer from {!create}. A snapshot is a constant-size
+    fingerprint of the state at a quiescent point, which the resumed
+    replay must reproduce exactly. *)
 
 module Snapshot : sig
   type explorer := t
@@ -111,43 +111,14 @@ module Snapshot : sig
     triggered : int;
     simulated_ms : float;
     cursor_consumed : int;  (** exhaustive cursor position *)
-    covered : int list;  (** covered block indices, ascending *)
-    records : Test_case.t list;  (** chronological *)
-    queue : int list;  (** Q_priority as birth ids, {!queue_snapshot} order *)
-    seeds : Afex_faultspace.Point.t list;  (** unconsumed analysis seeds *)
-    sensitivity : float list array;
-    intern_frames : string array;
-    feedback : int array list;
-    failure_index : Afex_quality.Index.dump;
-    crash_index : Afex_quality.Index.dump;
-    rarity : (int * (int * int) list) option;
-        (** {!Rarity.dump}, present iff rarity is enabled *)
-    rare_blocks : (int * int) list;
-        (** (birth, rarest covered block) pairs, ascending by birth *)
     mutator : Mutator.stats;  (** a private copy of the tallies *)
   }
 
   val capture : explorer -> t
   (** @raise Invalid_argument if any candidate is still pending —
-      snapshots are only meaningful at batch boundaries, when every
+      snapshots are only meaningful at quiescent points, when every
       issued candidate has been reported. *)
 end
 
 val capture : t -> Snapshot.t
 (** Alias of {!Snapshot.capture}. *)
-
-val restore :
-  ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
-  Config.t ->
-  Afex_faultspace.Subspace.t ->
-  Executor.t ->
-  Snapshot.t ->
-  (t, string) result
-(** Rebuild an explorer from a snapshot taken under the same config,
-    subspace, executor and transform (the caller guarantees the match;
-    the checkpoint layer records campaign metadata for exactly this).
-    Internal consistency is revalidated — record birth order, statistic
-    tallies, queue references, cursor position, coverage bounds — and any
-    violation is a clean [Error], never an exception, so a corrupt
-    snapshot that slipped past the file checksum still cannot crash the
-    resuming process. *)

@@ -9,12 +9,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Pqueue.create: capacity < 1";
   { capacity; entries = [] }
 
-let load ~capacity entries =
-  if capacity < 1 then Error "Pqueue.load: capacity < 1"
-  else if List.length entries > capacity then
-    Error "Pqueue.load: more entries than capacity"
-  else Ok { capacity; entries }
-
 let size t = List.length t.entries
 let is_empty t = t.entries = []
 let capacity t = t.capacity
@@ -101,15 +95,24 @@ let sample rng t =
   | [] -> None
   | entries -> Some (snd (pick Direct rng entries))
 
+(* Decays every entry; true when one fell below [retire_below]. *)
+let rec decay_all ~decay ~retire_below found = function
+  | [] -> found
+  | case :: rest ->
+      case.Test_case.fitness <- case.Test_case.fitness *. decay;
+      decay_all ~decay ~retire_below
+        (found || not (case.Test_case.fitness >= retire_below))
+        rest
+
 let age t ~decay ~retire_below =
-  List.iter
-    (fun case -> case.Test_case.fitness <- case.Test_case.fitness *. decay)
-    t.entries;
-  let kept, retired =
-    List.partition (fun case -> case.Test_case.fitness >= retire_below) t.entries
-  in
-  t.entries <- kept;
-  retired
+  if not (decay_all ~decay ~retire_below false t.entries) then []
+  else begin
+    let kept, retired =
+      List.partition (fun case -> case.Test_case.fitness >= retire_below) t.entries
+    in
+    t.entries <- kept;
+    retired
+  end
 
 let mean_fitness t =
   match t.entries with

@@ -11,12 +11,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val load : capacity:int -> Test_case.t list -> (t, string) result
-(** Rebuild a queue from {!elements} output (same order, same sharing):
-    snapshot restore hands back the exact test-case records so aging keeps
-    mutating the fitness the explorer's history also sees. [Error] when
-    the entries overflow [capacity]. *)
-
 val size : t -> int
 val is_empty : t -> bool
 val capacity : t -> int
@@ -39,7 +33,8 @@ val sample : Afex_stats.Rng.t -> t -> Test_case.t option
 
 val age : t -> decay:float -> retire_below:float -> Test_case.t list
 (** Multiplies every fitness by [decay] and removes (returning) tests
-    whose fitness dropped below [retire_below]. *)
+    whose fitness dropped below [retire_below]. The queue is rebuilt
+    only when some test retires. *)
 
 val mean_fitness : t -> float
 val elements : t -> Test_case.t list

@@ -58,32 +58,3 @@ let rare_count t ~cutoff =
     (fun h -> if float_of_int h < cutoff *. float_of_int t.tests then incr n)
     t.hits;
   !n
-
-let dump t =
-  let pairs = ref [] in
-  for b = Array.length t.hits - 1 downto 0 do
-    if t.hits.(b) > 0 then pairs := (b, t.hits.(b)) :: !pairs
-  done;
-  (t.tests, !pairs)
-
-let load ~blocks (tests, pairs) =
-  let err fmt = Printf.ksprintf (fun m -> Error ("Rarity.load: " ^ m)) fmt in
-  if blocks < 0 then err "negative block count"
-  else if tests < 0 then err "negative test count"
-  else begin
-    let t = create ~blocks in
-    t.tests <- tests;
-    let rec fill last = function
-      | [] -> Ok t
-      | (b, h) :: rest ->
-          if b <= last then err "blocks out of order at %d" b
-          else if b >= blocks then err "block %d outside the target's %d blocks" b blocks
-          else if h < 1 then err "block %d carries hit count %d" b h
-          else if h > tests then err "block %d hit %d times in %d tests" b h tests
-          else begin
-            t.hits.(b) <- h;
-            fill b rest
-          end
-    in
-    fill (-1) pairs
-  end

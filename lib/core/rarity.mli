@@ -9,9 +9,8 @@
     predicate the mutator uses to decide when to mask (pin) the axes that
     established the parent's position.
 
-    All state is deterministic in the observation sequence and round-trips
-    bit-for-bit through {!dump}/{!load}, so rarity-guided campaigns stay
-    checkpointable. *)
+    All state is deterministic in the observation sequence, so a
+    checkpointed campaign rebuilds it by replaying its journal. *)
 
 type t
 
@@ -54,12 +53,3 @@ val is_rare : t -> cutoff:float -> int -> bool
 val rare_count : t -> cutoff:float -> int
 (** Number of blocks currently below the rarity cutoff (never-hit blocks
     included). *)
-
-val dump : t -> int * (int * int) list
-(** [(tests, pairs)] with one [(block, hits)] pair per nonzero count,
-    ascending by block — the entire mutable state. *)
-
-val load : blocks:int -> int * (int * int) list -> (t, string) result
-(** Inverse of {!dump}. [Error] — never an exception — on out-of-range or
-    out-of-order blocks, non-positive counts, or counts exceeding the test
-    total. *)

@@ -81,20 +81,3 @@ let mask t =
       let m = Array.map (fun v -> v > uniform) p in
       t.pins <- Some m;
       m
-
-let dump t = Array.map (fun state -> state.samples) t.axes
-
-let load ?(window = 20) ~dims samples =
-  if dims < 1 then Error "Sensitivity.load: dims < 1"
-  else if window < 1 then Error "Sensitivity.load: window < 1"
-  else if Array.length samples <> dims then
-    Error
-      (Printf.sprintf "Sensitivity.load: %d axes of samples for %d dimensions"
-         (Array.length samples) dims)
-  else if Array.exists (fun s -> List.length s > window) samples then
-    Error "Sensitivity.load: more samples than the window admits"
-  else begin
-    let t = create ~window ~dims () in
-    Array.iteri (fun i s -> t.axes.(i).samples <- s) samples;
-    Ok t
-  end

@@ -34,10 +34,3 @@ val mask : t -> bool array
     to 1, at least one axis is always left unpinned (up to float
     rounding; {!Mutator.mutate} rejects a fully pinned mask). Cached like
     {!probabilities}: shared, read-only. *)
-
-val dump : t -> float list array
-(** Per-axis sample windows, newest first — the entire mutable state. *)
-
-val load : ?window:int -> dims:int -> float list array -> (t, string) result
-(** Inverse of {!dump}. [Error] — never an exception — when the axis
-    count disagrees with [dims] or any window is over-full. *)

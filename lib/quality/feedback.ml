@@ -9,7 +9,6 @@ type t = {
   buckets : (int, entry list ref) Hashtbl.t;  (* trace length -> entries *)
   mutable min_len : int;
   mutable max_len : int;
-  mutable order_rev : int array list;  (* registration order, newest first *)
 }
 
 let create ?intern () =
@@ -20,7 +19,6 @@ let create ?intern () =
     buckets = Hashtbl.create 64;
     min_len = max_int;
     max_len = -1;
-    order_rev = [];
   }
 
 let seen t = Hashtbl.length t.exact
@@ -38,8 +36,7 @@ let store t entry =
   bucket := entry :: !bucket;
   if len < t.min_len then t.min_len <- len;
   if len > t.max_len then t.max_len <- len;
-  Hashtbl.add t.exact entry.tokens ();
-  t.order_rev <- entry.tokens :: t.order_rev
+  Hashtbl.add t.exact entry.tokens ()
 
 (* Largest d with 1 - d/longest still strictly above [best], probed with
    the exact float expression used for similarities so pruning can never
@@ -158,35 +155,3 @@ let weigh_fitness ?bonus t ~trace fitness =
         store t candidate;
         boost (fitness *. w)
       end
-
-let dump t = List.rev_map Array.copy t.order_rev
-
-let load ?intern dumped =
-  let t = create ?intern () in
-  let limit = Trace_intern.size t.intern in
-  let err = ref None in
-  List.iter
-    (fun tokens ->
-      if !err = None then begin
-        Array.iter
-          (fun tok ->
-            if !err = None && (tok < 0 || tok >= limit) then
-              err :=
-                Some
-                  (Printf.sprintf
-                     "Feedback.load: token %d outside the intern table (%d \
-                      frames)"
-                     tok limit))
-          tokens;
-        if !err = None then
-          if Hashtbl.mem t.exact tokens then
-            err := Some "Feedback.load: duplicate registered trace"
-          else begin
-            let tokens = Array.copy tokens in
-            let sorted = Array.copy tokens in
-            Array.sort compare sorted;
-            store t { tokens; sorted }
-          end
-      end)
-    dumped;
-  match !err with Some m -> Error m | None -> Ok t

@@ -30,13 +30,3 @@ val weigh_fitness : ?bonus:float -> t -> trace:string list option -> float -> fl
     scale, so coverage of a rarely-hit block is rewarded even on a
     redundant trace; omitting it leaves results bit-identical to the
     unscaled signature. *)
-
-val dump : t -> int array list
-(** Registered distinct traces as interned token arrays, in registration
-    order — enough to rebuild the store bit-for-bit, since every internal
-    structure is a deterministic function of that sequence. *)
-
-val load : ?intern:Trace_intern.t -> int array list -> (t, string) result
-(** Inverse of {!dump} against the same (restored) intern table. [Error]
-    — never an exception — on token ids outside the table or duplicate
-    traces. *)

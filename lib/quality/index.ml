@@ -124,26 +124,20 @@ let ensure_capacity t id =
     t.entries <- entries
   end
 
-(* Append a distinct trace without linking: the slot, exact-table and
-   dedup bookkeeping shared by [observe] and [load]. *)
-let push_distinct t tokens =
-  let id = t.n_distinct in
-  ensure_capacity t id;
-  let sorted = Array.copy tokens in
-  Array.sort compare sorted;
-  let entry = { tokens; sorted } in
-  t.entries.(id) <- entry;
-  t.n_distinct <- id + 1;
-  Hashtbl.add t.exact tokens id;
-  (id, entry)
-
 let observe t trace =
   let tokens = Trace_intern.intern t.intern trace in
   let id =
     match Hashtbl.find_opt t.exact tokens with
     | Some id -> id
     | None ->
-        let id, entry = push_distinct t tokens in
+        let id = t.n_distinct in
+        ensure_capacity t id;
+        let sorted = Array.copy tokens in
+        Array.sort compare sorted;
+        let entry = { tokens; sorted } in
+        t.entries.(id) <- entry;
+        t.n_distinct <- id + 1;
+        Hashtbl.add t.exact tokens id;
         Vec.push t.parent id;
         t.n_clusters <- t.n_clusters + 1;
         link t id entry;
@@ -174,59 +168,3 @@ let clusters t =
   List.map snd sorted
 
 let representatives t = List.map List.hd (clusters t)
-
-type dump = {
-  d_entries : int array list;  (* distinct traces, id order *)
-  d_parent : int list;  (* raw union-find vector, one slot per distinct *)
-  d_items : int list;  (* observation order *)
-}
-
-let dump t =
-  {
-    d_entries =
-      List.init t.n_distinct (fun i -> Array.copy t.entries.(i).tokens);
-    d_parent = List.init t.n_distinct (fun i -> Vec.get t.parent i);
-    d_items = List.init (Vec.length t.items) (fun i -> Vec.get t.items i);
-  }
-
-exception Bad of string
-
-let load ?threshold ~intern d =
-  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let t = create ?threshold ~intern () in
-  let limit = Trace_intern.size intern in
-  try
-    List.iter
-      (fun tokens ->
-        Array.iter
-          (fun tok ->
-            if tok < 0 || tok >= limit then
-              bad "token %d outside the intern table (%d frames)" tok limit)
-          tokens;
-        if Hashtbl.mem t.exact tokens then bad "duplicate distinct trace";
-        ignore (push_distinct t (Array.copy tokens)))
-      d.d_entries;
-    let n = t.n_distinct in
-    if List.length d.d_parent <> n then
-      bad "parent table has %d slots for %d distinct traces"
-        (List.length d.d_parent) n;
-    (* The union-find always roots at the smaller id, so every stored
-       parent — compressed or not — must point at or before its slot. *)
-    List.iteri
-      (fun i p ->
-        if p < 0 || p > i then
-          bad "parent %d of distinct %d is not min-rooted" p i;
-        Vec.push t.parent p)
-      d.d_parent;
-    (* Every union turns exactly one root into a non-root, so the cluster
-       count is recoverable as the number of surviving roots. *)
-    for i = 0 to n - 1 do
-      if Vec.get t.parent i = i then t.n_clusters <- t.n_clusters + 1
-    done;
-    List.iter
-      (fun id ->
-        if id < 0 || id >= n then bad "item refers to unknown distinct %d" id;
-        Vec.push t.items id)
-      d.d_items;
-    Ok t
-  with Bad m -> Error ("Index.load: " ^ m)

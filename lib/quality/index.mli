@@ -43,25 +43,3 @@ val clusters : t -> int list list
 
 val representatives : t -> int list
 (** First-observed member of each cluster, in {!clusters} order. *)
-
-(** {2 Snapshots}
-
-    The whole index state relative to a shared intern table: distinct
-    traces in id order, the raw union-find vector, and the observation
-    log. Re-observing would re-run the quadratic linkage; loading the
-    dump is linear and restores the partition bit-for-bit. *)
-
-type dump = {
-  d_entries : int array list;  (** distinct traces, id order *)
-  d_parent : int list;  (** union-find parent of each distinct id *)
-  d_items : int list;  (** distinct id per observation, oldest first *)
-}
-
-val dump : t -> dump
-
-val load :
-  ?threshold:float -> intern:Trace_intern.t -> dump -> (t, string) result
-(** Inverse of {!dump} against the same (restored) intern table.
-    [Error] — never an exception — on token ids outside the table,
-    duplicate traces, non-min-rooted parents, mismatched vector lengths
-    or out-of-range items, so corrupt snapshots are rejected cleanly. *)

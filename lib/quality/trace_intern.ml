@@ -34,19 +34,4 @@ let frame t id =
   if id < 0 || id >= t.count then invalid_arg "Trace_intern.frame: unknown id";
   t.frames.(id)
 
-let dump t = Array.init t.count (fun i -> t.frames.(i))
-
-let of_frames frames =
-  let t = create ~size:(max 1 (Array.length frames)) () in
-  let dup = ref None in
-  Array.iter
-    (fun f ->
-      if Hashtbl.mem t.ids f then (if !dup = None then dup := Some f)
-      else ignore (intern_frame t f))
-    frames;
-  match !dup with
-  | Some f ->
-      Error (Printf.sprintf "Trace_intern.of_frames: duplicate frame %S" f)
-  | None -> Ok t
-
 let extern t tokens = List.map (frame t) (Array.to_list tokens)

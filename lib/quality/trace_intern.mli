@@ -27,12 +27,3 @@ val frame : t -> int -> string
 
 val extern : t -> int array -> string list
 (** Inverse of {!intern}. *)
-
-val dump : t -> string array
-(** All interned frames in id order — everything a snapshot needs, since
-    ids are assigned densely from 0 in first-sight order. *)
-
-val of_frames : string array -> (t, string) result
-(** Rebuild a table assigning [frames.(i)] id [i] (inverse of {!dump}).
-    [Error] on duplicate frames — dumps are duplicate-free, so a
-    duplicate means the input is corrupt. *)

@@ -175,6 +175,66 @@ let test_pool_line_counts_executions () =
       checkb (Printf.sprintf "%S says executed/s" line) true
         (contains line "executed/s")
 
+let cli =
+  Filename.concat (Filename.concat Filename.parent_dir_name "bin") "afex_cli.exe"
+
+(* Runs the CLI; returns its exit code, stdout and stderr. *)
+let run_cli args =
+  let out_file = Filename.temp_file "afex" ".out"
+  and err_file = Filename.temp_file "afex" ".err" in
+  let code =
+    Sys.command (Filename.quote_command cli ~stdout:out_file ~stderr:err_file args)
+  in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let out = read out_file in
+  (code, out, read err_file)
+
+let test_latency_refuses_jobs () =
+  (* --latency runs on the single-domain event loop, like --inflight:
+     with --jobs 2 it is a one-line usage error, not an uncaught
+     exception from Pool.create. *)
+  let code, _, err =
+    run_cli
+      [ "explore"; "--target"; "apache"; "-n"; "50"; "--latency"; "fixed:1";
+        "--jobs"; "2" ]
+  in
+  checki "usage error exit code" 2 code;
+  checkb (Printf.sprintf "%S names --jobs 1" err) true (contains err "--jobs 1");
+  checki "one line on stderr" 1
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err)))
+
+let test_checkpoint_line_and_short_journal () =
+  (* The checkpoint: line counts torn journal lines and replayed
+     outcomes. A finished campaign's snapshot covers every outcome, so
+     tearing its journal's last line leaves the journal short of the
+     snapshot: the resume is a one-line usage error, not a silent
+     re-run. *)
+  let dir = Filename.temp_file "afex_ck" "" in
+  Sys.remove dir;
+  let args extra = [ "explore"; "--target"; "apache"; "-n"; "60" ] @ extra in
+  let code, out, _ = run_cli (args [ "--checkpoint"; dir ]) in
+  checki "checkpointed run exits 0" 0 code;
+  checkb (Printf.sprintf "%S counts no torn line" out) true
+    (contains out "60 journal appends, 0 torn journal lines dropped;");
+  let code, out, _ = run_cli (args [ "--resume"; dir ]) in
+  checki "resume of the finished run exits 0" 0 code;
+  checkb (Printf.sprintf "%S replays everything" out) true
+    (contains out "0 journal appends, 0 torn journal lines dropped (replayed 60");
+  let wal = Filename.concat dir "wal.log" in
+  let bytes = In_channel.with_open_bin wal In_channel.input_all in
+  Out_channel.with_open_bin wal (fun oc ->
+      output_string oc (String.sub bytes 0 (String.length bytes - 5)));
+  let code, _, err = run_cli (args [ "--resume"; dir ]) in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  checki "short journal refused" 2 code;
+  checkb (Printf.sprintf "%S says the journal is short" err) true
+    (contains err "afex: --resume: checkpoint: the snapshot was taken after 60")
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -194,4 +254,7 @@ let suite =
       ("tracer fig4 shape", test_tracer_fig4_shape);
       ("describe quotes the Config rarity cutoff", test_describe_quotes_config_cutoff);
       ("explore pool line counts executions", test_pool_line_counts_executions);
+      ("explore refuses --latency with --jobs 2", test_latency_refuses_jobs);
+      ("explore checkpoint line and short journal",
+        test_checkpoint_line_and_short_journal);
     ]

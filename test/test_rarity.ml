@@ -1,6 +1,5 @@
 (* The rarity layer: histogram properties on the Prop harness (the
-   bonus is monotone non-increasing in hit counts, dump/load round-trips
-   bit-for-bit on random states), FairFuzz mutation masking (a pinned
+   bonus is monotone non-increasing in hit counts), FairFuzz mutation masking (a pinned
    axis is never mutated — swept exhaustively over every mask of a fixed
    subspace and property-checked over random ones), the masked-reject
    attribution that keeps masking from silently degrading the session to
@@ -66,33 +65,6 @@ let test_prop_bonus_monotone () =
              prev := b;
              ok)
            obs)
-
-let test_prop_dump_load_roundtrip () =
-  Prop.check ~count:200 "dump/load round-trips bit-for-bit"
-    arb_observations (fun (blocks, obs) ->
-      let hist = Rarity.create ~blocks in
-      List.iter (fun ids -> Rarity.observe hist (bitset blocks ids)) obs;
-      let d = Rarity.dump hist in
-      match Rarity.load ~blocks d with
-      | Error _ -> false
-      | Ok hist' ->
-          Rarity.dump hist' = d
-          && Rarity.tests hist' = Rarity.tests hist
-          && List.for_all
-               (fun b -> Rarity.hit_count hist' b = Rarity.hit_count hist b)
-               (List.init blocks (fun i -> i)))
-
-let test_load_rejects_malformed () =
-  let bad d =
-    match Rarity.load ~blocks:4 d with Error _ -> true | Ok _ -> false
-  in
-  checkb "block out of range" true (bad (1, [ (4, 1) ]));
-  checkb "blocks out of order" true (bad (2, [ (2, 1); (1, 1) ]));
-  checkb "duplicate block rejected" true (bad (2, [ (1, 1); (1, 2) ]));
-  checkb "non-positive count" true (bad (1, [ (0, 0) ]));
-  checkb "count exceeds tests" true (bad (1, [ (0, 2) ]));
-  checkb "negative test total" true (bad (-1, []));
-  checkb "well-formed accepted" false (bad (3, [ (0, 1); (2, 3) ]))
 
 let test_empty_coverage_earns_nothing () =
   let hist = Rarity.create ~blocks:8 in
@@ -361,16 +333,16 @@ let test_checkpoint_resume_mid_campaign () =
       Unix.rmdir dir)
     (fun () ->
       (* Crash mid-campaign at the 40th journal append; the resumed
-         campaign restores the rarity histogram, the rare-block map and
-         the mutator tallies from the snapshot, so its exports must be
-         byte-identical to an uninterrupted run. *)
+         campaign rebuilds the rarity histogram, the rare-block map and
+         the mutator tallies by replaying the journal, so its exports
+         must be byte-identical to an uninterrupted run. *)
       let hooks =
         {
           Checkpoint.no_hooks with
           Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
         }
       in
-      (match Checkpoint.start ~hooks ~every:25 ~dir rarity_meta with
+      (match Checkpoint.start ~hooks ~dir rarity_meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           let crashed =
@@ -380,7 +352,7 @@ let test_checkpoint_resume_mid_campaign () =
           in
           Checkpoint.close cp;
           checkb "campaign crashed mid-flight" true crashed);
-      match Checkpoint.resume ~every:25 ~dir rarity_meta with
+      match Checkpoint.resume ~dir rarity_meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           Fun.protect
@@ -390,38 +362,57 @@ let test_checkpoint_resume_mid_campaign () =
               checks "JSON identical after resume" base_json json;
               checks "CSV identical after resume" base_csv csv))
 
+(* A checkpoint is bound to its configuration: a campaign checkpointed
+   with rarity cannot be resumed without it, nor the reverse, even when
+   the metadata (which the CLI derives from the flags) is made to agree.
+   The replay regenerates other candidates or reaches another
+   fingerprint, and the resume is refused. *)
 let test_snapshot_rejects_rarity_mismatch () =
   let sub = Replfault.multi_space ~arms:2 small in
-  let exec = executor small in
-  let explore config =
-    let e = Afex.Explorer.create config sub exec in
-    for _ = 1 to 30 do
-      match Afex.Explorer.next e with
-      | None -> ()
-      | Some p -> ignore (Afex.Explorer.execute e p)
-    done;
-    e
+  let run ?checkpoint config =
+    ignore
+      (Pool.run ?checkpoint ~jobs:1 ~batch_size:8 ~sync_every:16
+         ~iterations:40 config sub (Pool.Pure (executor small)))
   in
-  let with_rarity = Afex.Explorer.capture (explore (rarity_config 3)) in
-  let without = Afex.Explorer.capture (explore (Config.fitness_guided ~seed:3 ())) in
-  let err config snap =
-    match Afex.Explorer.restore config sub exec snap with
-    | Error _ -> true
-    | Ok (_ : Afex.Explorer.t) -> false
+  let refused ~taken ~resumed =
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "afex_rarity_mm_%d_%d" (Unix.getpid ()) (Random.bits ()))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+        Unix.rmdir dir)
+      (fun () ->
+        (match Checkpoint.start ~dir rarity_meta with
+        | Error e -> Alcotest.fail e
+        | Ok cp ->
+            run ~checkpoint:cp taken;
+            Checkpoint.close cp);
+        match Checkpoint.resume ~dir rarity_meta with
+        | Error e -> Alcotest.fail e
+        | Ok cp -> (
+            Fun.protect
+              ~finally:(fun () -> Checkpoint.close cp)
+              (fun () ->
+                match run ~checkpoint:cp resumed with
+                | () -> false
+                | exception Checkpoint.Cannot_resume _ -> true)))
   in
+  let plain = Config.fitness_guided ~seed:3 () in
   checkb "histogram under a rarity-free config rejected" true
-    (err (Config.fitness_guided ~seed:3 ()) with_rarity);
+    (refused ~taken:(rarity_config 3) ~resumed:plain);
   checkb "missing histogram under a rarity config rejected" true
-    (err (rarity_config 3) without);
-  checkb "matching configs restore" false (err (rarity_config 3) with_rarity)
+    (refused ~taken:plain ~resumed:(rarity_config 3));
+  checkb "matching configs resume" false
+    (refused ~taken:(rarity_config 3) ~resumed:(rarity_config 3))
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("prop bonus monotone", test_prop_bonus_monotone);
-      ("prop dump/load roundtrip", test_prop_dump_load_roundtrip);
-      ("load rejects malformed", test_load_rejects_malformed);
       ("empty coverage earns nothing", test_empty_coverage_earns_nothing);
       ("prop mask never mutates pinned", test_prop_mask_never_mutates_pinned);
       ("exhaustive masks respect pins", test_exhaustive_masks_on_fixed_subspace);

@@ -544,7 +544,7 @@ let test_checkpoint_resume_mid_campaign () =
           Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
         }
       in
-      (match Checkpoint.start ~hooks ~every:25 ~dir replsim_meta with
+      (match Checkpoint.start ~hooks ~dir replsim_meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           let crashed =
@@ -556,7 +556,7 @@ let test_checkpoint_resume_mid_campaign () =
           checkb "campaign crashed mid-flight" true crashed);
       (* ... resume, and the exports must be byte-identical to an
          uninterrupted campaign. *)
-      match Checkpoint.resume ~every:25 ~dir replsim_meta with
+      match Checkpoint.resume ~dir replsim_meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           Fun.protect

@@ -269,12 +269,12 @@ exception Crash
 
 let test_kill_and_resume_at_watermark () =
   (* sync_every 32 < iterations 150: the campaign hits real mid-flight
-     watermarks, and the every:25 cadence writes its snapshot at the
-     first one (release 32, where nothing is in flight). Crash at the
-     40th journal append — past that snapshot — and the resume must
-     restore the *watermark* snapshot (a handful of journaled outcomes
-     replayed, not the whole campaign) and still reproduce the
-     uninterrupted exports byte-for-byte. *)
+     watermarks and writes a watermark snapshot at the first one
+     (release 32, where nothing is in flight). Crash at the 40th journal
+     append — past that snapshot — and the resume must replay the whole
+     journal (all 40 appends: the hook fires after the write), check the rebuilt
+     state at watermark 32 against the snapshot, and still reproduce
+     the uninterrupted exports byte-for-byte. *)
   let meta = [ ("format", "1"); ("target", "apache"); ("seed", "7") ] in
   let exports ?checkpoint () =
     let result, _ =
@@ -303,7 +303,7 @@ let test_kill_and_resume_at_watermark () =
           Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
         }
       in
-      (match Checkpoint.start ~hooks ~every:25 ~dir meta with
+      (match Checkpoint.start ~hooks ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           let crashed =
@@ -316,7 +316,7 @@ let test_kill_and_resume_at_watermark () =
           checkb "campaign crashed mid-flight" true crashed;
           checkb "a watermark snapshot was written before the crash" true
             (s.Checkpoint.snapshots_written >= 2));
-      match Checkpoint.resume ~every:25 ~dir meta with
+      match Checkpoint.resume ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           Fun.protect
@@ -324,9 +324,12 @@ let test_kill_and_resume_at_watermark () =
             (fun () ->
               let json, csv = exports ~checkpoint:cp () in
               let s = Checkpoint.stats cp in
-              checkb "resumed from the watermark snapshot, not the base" true
-                (s.Checkpoint.replayed_records >= 1
-                && s.Checkpoint.replayed_records <= 8);
+              let snap = Option.get (Checkpoint.loaded_snapshot cp) in
+              Alcotest.(check int)
+                "resumed from the watermark snapshot, not the base" 32
+                snap.Checkpoint.Snapshot.explorer.Afex.Explorer.Snapshot.iterations;
+              Alcotest.(check int) "the whole journal replayed" 40
+                s.Checkpoint.replayed_records;
               checks "JSON identical after watermark resume" base_json json;
               checks "CSV identical after watermark resume" base_csv csv))
 

@@ -770,11 +770,15 @@ let test_pool_chaotic_remote_matches_local () =
     (chaotic = local)
 
 let test_pool_dead_remote_falls_back () =
+  (* Remote-only, so every test passes through the proxy domain: beside a
+     local worker the proxy may pop no test at all when the campaign
+     ends before it is scheduled. The mixed case is pinned, with a slow
+     executor, by "dead manager under --jobs 2 never stalls". *)
   let dead =
     RM.spec ~max_attempts:2 ~backoff_ms:0.1 ~name:"unreachable" (fun () ->
         Error (Transport.Io "connection refused"))
   in
-  let with_dead, stats = pool_history ~remotes:[ dead ] ~jobs:1 ~seed:41 () in
+  let with_dead, stats = pool_history ~remotes:[ dead ] ~jobs:0 ~seed:41 () in
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
   checkb "every scenario was recovered locally" true (with_dead = local);
   checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
